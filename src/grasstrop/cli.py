@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import report as report_mod
 from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
 from .tropical import is_tropical_point, reconstruct_tree
-from .trees import enumerate_trivalent, parse_edge_order
+from .trees import double_factorial, enumerate_trivalent, parse_edge_order
 from .trees import tree_from_json, tree_to_json, tree_to_newick
 from .valuation import valuation_matrix
 
@@ -85,13 +85,15 @@ def _read_vector(cfg: Config) -> DissimilarityVector:
 
 def cmd_trees_enumerate(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    trees = enumerate_trivalent(args.n)
     if args.count:
-        _emit(cfg, f"{len(trees)}\n")
+        if args.n < 3:
+            raise ValueError(f"need at least 3 leaves, got {args.n}")
+        # there are (2n-5)!! trivalent trees on n labeled leaves
+        _emit(cfg, f"{double_factorial(2 * args.n - 5)}\n")
         return 0
     fmt = cfg.fmt or "json"
     lines = []
-    for t in trees:
+    for t in enumerate_trivalent(args.n):
         lines.append(tree_to_newick(t) if fmt == "newick" else tree_to_json(t))
     _emit(cfg, "\n".join(lines) + "\n")
     return 0

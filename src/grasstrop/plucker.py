@@ -15,13 +15,15 @@ lands on is unique.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 Pair = tuple[int, int]
+Exps = tuple[tuple[Pair, int], ...]  # a monomial's sorted (pair, exponent) items
+_T = TypeVar("_T")
 
 
 def _check_pair(p: Pair) -> Pair:
@@ -88,11 +90,6 @@ class PlueckerMonomial:
         for p, e in other.exps:
             merged[p] = merged.get(p, 0) + e
         return PlueckerMonomial(tuple(merged.items()))
-
-
-def _mon_key(m: PlueckerMonomial) -> tuple[int, tuple[tuple[Pair, int], ...]]:
-    """Sort key: by degree, then lexicographically on the exponent tuple."""
-    return (m.degree, m.exps)
 
 
 @dataclass(frozen=True)
@@ -192,37 +189,26 @@ def _positions(order: Sequence[int] | None, labels: Iterable[int]) -> dict[int, 
     return pos
 
 
-def _crosses(a: Pair, b: Pair, pos: Mapping[int, int]) -> bool:
-    """Do the chords a and b cross in the circular order given by pos?"""
-    if set(a) & set(b):
-        return False
-    pa, pb = sorted((pos[a[0]], pos[a[1]]))
-    in1 = pa < pos[b[0]] < pb
-    in2 = pa < pos[b[1]] < pb
-    return in1 != in2
+def _first_crossing(sup: Sequence[Pair], pos: Mapping[int, int]) -> tuple[Pair, Pair] | None:
+    """Lexicographically smallest pair of crossing chords in a sorted support, or None.
+
+    Chords a and b cross in the circular order pos when exactly one end of
+    b lies strictly inside the arc spanned by a; chords sharing a label
+    never cross.
+    """
+    arcs = [(pos[i], pos[j]) if pos[i] < pos[j] else (pos[j], pos[i]) for i, j in sup]
+    for x, (a0, a1) in enumerate(arcs):
+        for y in range(x + 1, len(arcs)):
+            b0, b1 = arcs[y]
+            if a0 < b0 < a1 < b1 or b0 < a0 < b1 < a1:
+                return sup[x], sup[y]
+    return None
 
 
 def is_noncrossing(m: PlueckerMonomial, order: Sequence[int] | None = None) -> bool:
     """True iff no two support variables cross (circular order 1..n by default)."""
     sup = m.support()
-    pos = _positions(order, (x for pr in sup for x in pr))
-    for a_idx in range(len(sup)):
-        for b_idx in range(a_idx + 1, len(sup)):
-            if _crosses(sup[a_idx], sup[b_idx], pos):
-                return False
-    return True
-
-
-def _first_crossing(m: PlueckerMonomial, pos: Mapping[int, int]) -> tuple[Pair, Pair] | None:
-    sup = m.support()
-    best: tuple[Pair, Pair] | None = None
-    for a_idx in range(len(sup)):
-        for b_idx in range(a_idx + 1, len(sup)):
-            if _crosses(sup[a_idx], sup[b_idx], pos):
-                cand = (sup[a_idx], sup[b_idx])
-                if best is None or cand < best:
-                    best = cand
-    return best
+    return _first_crossing(sup, _positions(order, (x for pr in sup for x in pr))) is None
 
 
 def _rewrite(u: Pair, v: Pair) -> tuple[tuple[Pair, Pair, int], tuple[Pair, Pair, int]]:
@@ -246,6 +232,42 @@ def _rewrite(u: Pair, v: Pair) -> tuple[tuple[Pair, Pair, int], tuple[Pair, Pair
     raise AssertionError(f"{u}, {v} is not a pairing of four labels")
 
 
+def _in_normal_form(cls: type[_T], **fields: object) -> _T:
+    """An instance of a frozen class from fields already in its normal form.
+
+    Skips __post_init__, which would only re-validate, re-merge and
+    re-sort what straightening already keeps sorted and merged.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _desc_key(exps: Exps) -> tuple[int, ...]:
+    """Heap key that pops the largest monomial first.
+
+    Monomials are ordered by degree, then lexicographically on their
+    exponent tuples.  The key flattens (degree, exps) and negates every
+    entry; two monomials of equal degree are never a proper prefix of one
+    another, so the negation reverses the order exactly.
+    """
+    key = [-sum(e for _, e in exps)]
+    for (i, j), e in exps:
+        key += (-i, -j, -e)
+    return tuple(key)
+
+
+def _multiply(exps: Exps, drop: tuple[Pair, Pair], add: tuple[Pair, Pair]) -> Exps:
+    """exps with one factor of each pair in drop replaced by the pairs in add."""
+    out = dict(exps)
+    for pr in drop:
+        out[pr] -= 1
+    for pr in add:
+        out[pr] = out.get(pr, 0) + 1
+    return tuple(sorted((pr, e) for pr, e in out.items() if e))
+
+
 def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> PlueckerPolynomial:
     """Expand f over crossing-free monomials for the given circular order.
 
@@ -254,34 +276,60 @@ def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> Plu
     largest remaining monomial (degree, then lexicographic) and its
     smallest crossing pair, which makes intermediate traces deterministic;
     the final expansion does not depend on this choice.
+
+    The loop is a worklist over raw exponent tuples.  Crossing-free
+    monomials go straight to the result map and are never looked at
+    again; monomials that still cross sit in a pending map, each with
+    its smallest crossing pair found once when it first appears, and a
+    heap keyed by _desc_key hands out the largest of them.  A heap entry
+    whose monomial has meanwhile cancelled to 0 is skipped when popped.
     """
     labels = {x for m, _ in f.terms for pr in m.support() for x in pr}
     pos = _positions(order, labels)
-    work: dict[PlueckerMonomial, Fraction] = dict(f.terms)
-    while True:
-        target: PlueckerMonomial | None = None
-        crossing: tuple[Pair, Pair] | None = None
-        for m in sorted(work, key=_mon_key, reverse=True):
-            hit = _first_crossing(m, pos)
-            if hit is not None:
-                target, crossing = m, hit
-                break
-        if target is None:
-            break
-        coeff = work.pop(target)
-        u, v = crossing
-        rest = target.as_dict()
-        rest[u] -= 1
-        rest[v] = rest.get(v, 0) - 1
-        base = PlueckerMonomial.of({pr: e for pr, e in rest.items() if e > 0})
-        for a, bpair, sign in _rewrite(u, v):
-            newm = base * PlueckerMonomial.of([a, bpair])
-            c = work.get(newm, Fraction(0)) + sign * coeff
-            if c == 0:
-                work.pop(newm, None)
+    done: dict[Exps, Fraction] = {}
+    pending: dict[Exps, Fraction] = {}
+    first_crossing: dict[Exps, tuple[Pair, Pair]] = {}
+    heap: list[tuple[tuple[int, ...], Exps]] = []
+
+    def add(exps: Exps, c: Fraction) -> None:
+        if exps in done:
+            done[exps] += c
+            return
+        if exps in pending:
+            c += pending[exps]
+            if c:
+                pending[exps] = c
             else:
-                work[newm] = c
-    return PlueckerPolynomial(tuple(work.items()))
+                del pending[exps]
+            return
+        hit = first_crossing.get(exps)
+        if hit is None:
+            hit = _first_crossing([pr for pr, _ in exps], pos)
+            if hit is None:
+                done[exps] = c
+                return
+            first_crossing[exps] = hit
+        pending[exps] = c
+        heapq.heappush(heap, (_desc_key(exps), exps))
+
+    for m, c in f.terms:
+        add(m.exps, c)
+    while heap:
+        _, exps = heapq.heappop(heap)
+        coeff = pending.pop(exps, None)
+        if coeff is None:
+            continue
+        u, v = first_crossing[exps]
+        for a, b, sign in _rewrite(u, v):
+            add(_multiply(exps, (u, v), (a, b)), coeff if sign > 0 else -coeff)
+    terms = sorted(
+        ((exps, c) for exps, c in done.items() if c),
+        key=lambda ec: (-sum(e for _, e in ec[0]), ec[0]),
+    )
+    return _in_normal_form(
+        PlueckerPolynomial,
+        terms=tuple((_in_normal_form(PlueckerMonomial, exps=exps), c) for exps, c in terms),
+    )
 
 
 # ---------------------------------------------------------------------------

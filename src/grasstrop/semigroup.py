@@ -337,26 +337,36 @@ def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> 
         raise ValueError("the witness check is defined for trivalent trees")
     rng = random.Random(seed)
     edge_count = len(t.edge_ids)
-    index = {eid: i for i, eid in enumerate(t.edge_ids)}
     corners = tuple(
-        tuple(index[t.edge_id_of(v, u)] for u in t.adjacency[v])
+        tuple(t._edge_index[t.edge_id_of(v, u)] for u in t.adjacency[v])
         for v in t.internal_vertices
     )
 
-    def interior(vals: tuple[int, ...], m: int) -> bool:
-        if any(v <= 0 or v >= m for v in vals):
-            return False
+    def interior(vals: list[int]) -> bool:
         for ia, ib, ic in corners:
             a, b, c = vals[ia], vals[ib], vals[ic]
             if (a + b + c) % 2 != 0 or not (abs(a - b) < c < a + b):
                 return False
         return True
 
+    # m uniform in 3..12, then each edge value uniform in 1..m-1, drawn by
+    # rejection on getrandbits: the same draws as rng.randint(3, 12) and
+    # rng.randint(1, m - 1), without randint's per-call overhead.
+    getrandbits = rng.getrandbits
     for _ in range(samples):
         for _attempt in range(20000):
-            m = rng.randint(3, 12)
-            vals = tuple(rng.randint(1, m - 1) for _ in range(edge_count))
-            if interior(vals, m):
+            r = getrandbits(4)
+            while r >= 10:
+                r = getrandbits(4)
+            m = 3 + r
+            width, bits = m - 1, (m - 1).bit_length()
+            vals = []
+            for _ in range(edge_count):
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                vals.append(1 + r)
+            if interior(vals):
                 break
         else:
             raise RuntimeError("could not sample an interior point; ranges too tight")

@@ -237,6 +237,55 @@ class LabeledTree:
         return tuple([f"l{i}" for i in self.leaves] + [eid for _, eid in internal])
 
     @cached_property
+    def _edge_index(self) -> dict[EdgeId, int]:
+        """Position of each edge id in edge_ids."""
+        return {eid: k for k, eid in enumerate(self.edge_ids)}
+
+    @cached_property
+    def _parent_edge(self) -> dict[int, int]:
+        """Per vertex other than leaf 1: the edge_ids index of the edge to its parent."""
+        parent, _, _ = self._rooted
+        by_pair, _ = self._edge_ids
+        index = self._edge_index
+        return {v: index[by_pair[frozenset((v, u))]] for v, u in parent.items() if v != 1}
+
+    def _walk_path(self, i: int, j: int) -> list[int]:
+        """The edge_ids indices on the path between vertices i and j."""
+        parent, _, _ = self._rooted
+        depth = self._depth
+        up = self._parent_edge
+        a, b = i, j
+        out: list[int] = []
+        while depth[a] > depth[b]:
+            out.append(up[a])
+            a = parent[a]
+        while depth[b] > depth[a]:
+            out.append(up[b])
+            b = parent[b]
+        while a != b:
+            out += (up[a], up[b])
+            a, b = parent[a], parent[b]
+        return out
+
+    @cached_property
+    def _leaf_paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Leaf pair (i, j), i < j -> edge_ids indices on its path; see _path."""
+        return {}
+
+    def _path(self, i: int, j: int) -> tuple[int, ...]:
+        """The edge_ids indices on the path between leaves i < j, kept per tree.
+
+        Pairs enter the table as they are first asked for, so a caller
+        that needs a few paths of a large tree does not pay for all of them.
+        """
+        path = self._leaf_paths.get((i, j))
+        if path is None:
+            if not 1 <= i < j <= self.n:
+                raise ValueError(f"need leaves 1 <= i < j <= {self.n}, got ({i}, {j})")
+            path = self._leaf_paths[(i, j)] = tuple(self._walk_path(i, j))
+        return path
+
+    @cached_property
     def internal_edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(e for e in self.edge_ids if e.startswith("e"))
 
@@ -296,21 +345,8 @@ def leaf_path(t: LabeledTree, i: int, j: int) -> frozenset[EdgeId]:
         raise ValueError(f"leaves must lie in 1..{t.n}, got ({i}, {j})")
     if i == j:
         raise ValueError("leaf path needs two distinct leaves")
-    parent, _, _ = t._rooted
-    depth = t._depth
-    a, b = i, j
-    out: list[EdgeId] = []
-    while depth[a] > depth[b]:
-        out.append(t.edge_id_of(a, parent[a]))
-        a = parent[a]
-    while depth[b] > depth[a]:
-        out.append(t.edge_id_of(b, parent[b]))
-        b = parent[b]
-    while a != b:
-        out.append(t.edge_id_of(a, parent[a]))
-        out.append(t.edge_id_of(b, parent[b]))
-        a, b = parent[a], parent[b]
-    return frozenset(out)
+    ids = t.edge_ids
+    return frozenset(ids[k] for k in t._walk_path(i, j))
 
 
 def tree_equal(a: LabeledTree, b: LabeledTree) -> bool:

@@ -88,11 +88,16 @@ class EdgeWeighting:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "EdgeWeighting":
+        if not isinstance(obj, dict):
+            raise ValueError("weighting JSON must be an object with keys 'tree' and 'weights'")
         try:
-            tree = tree_from_json_dict(obj["tree"])
-            raw = obj["weights"]
+            tree_obj, raw = obj["tree"], obj["weights"]
         except KeyError as exc:
             raise ValueError(f"weighting JSON needs key {exc}") from exc
+        for key, value in (("tree", tree_obj), ("weights", raw)):
+            if not isinstance(value, dict):
+                raise ValueError(f"weighting JSON key {key!r} must hold an object")
+        tree = tree_from_json_dict(tree_obj)
         return cls.of(tree, {str(k): parse_rational(v) for k, v in raw.items()})
 
 
@@ -196,6 +201,12 @@ class DissimilarityVector:
             raise ValueError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "n" not in obj or "d" not in obj:
             raise ValueError("dissimilarity JSON must be an object with keys 'n' and 'd'")
+        if not isinstance(obj["d"], dict):
+            raise ValueError("dissimilarity JSON key 'd' must hold an object of 'i,j' entries")
+        try:
+            n = int(obj["n"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"dissimilarity JSON key 'n' must be an integer, got {obj['n']!r}") from exc
         entries: dict[tuple[int, int], Fraction] = {}
         for key, v in obj["d"].items():
             try:
@@ -204,7 +215,7 @@ class DissimilarityVector:
             except ValueError as exc:
                 raise ValueError(f"bad pair key {key!r}") from exc
             entries[(min(i, j), max(i, j))] = parse_rational(v)
-        return cls.of(int(obj["n"]), entries)
+        return cls.of(n, entries)
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,17 @@ an upper bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .plucker import PlueckerMonomial, PlueckerPolynomial, straighten
+from .plucker import Exps, PlueckerMonomial, PlueckerPolynomial, straighten
 from .semigroup import SigmaWeight
-from .trees import EdgeId, LabeledTree, leaf_path
+from .trees import EdgeId, LabeledTree
 from .tropical import (
     DissimilarityVector,
     EdgeWeighting,
-    dissimilarity,
     is_tropical_point,
     leaf_pairs,
     reconstruct_tree,
@@ -111,30 +111,47 @@ def _check_labels(t: LabeledTree, f: PlueckerPolynomial) -> None:
         )
 
 
+def _edge_counts(t: LabeledTree, exps: Exps) -> list[int]:
+    """Per edge, in edge_ids order: sum of alpha_ij over the paths i to j it lies on."""
+    counts = [0] * len(t.edge_ids)
+    for (i, j), e in exps:
+        for k in t._path(i, j):
+            counts[k] += e
+    return counts
+
+
+def _planar_edge_vectors(t: LabeledTree, f: PlueckerPolynomial) -> list[list[int]]:
+    """Edge count vectors of the monomials of f's expansion in the tree's planar frame.
+
+    Shared by both valuations: the weight is a dot product with these
+    vectors, the rank valuation their largest reordering.
+    """
+    _check_labels(t, f)
+    g = straighten(f, order=t.planar_leaf_order)
+    if g.is_zero:
+        raise ValueError("the polynomial vanishes modulo the Pluecker ideal and has no value")
+    return [_edge_counts(t, m.exps) for m, _ in g.terms]
+
+
 def monomial_weight(t: LabeledTree, m: PlueckerMonomial) -> SigmaWeight:
     """The edge weight sum alpha_ij * omega(i, j) of a monomial."""
-    vals = {e: 0 for e in t.edge_ids}
-    for (i, j), exp in m.exps:
-        for e in leaf_path(t, i, j):
-            vals[e] += exp
-    return SigmaWeight.of(t, vals)
+    return SigmaWeight(t, tuple(_edge_counts(t, m.exps)))
 
 
 def tropical_weight(r: EdgeWeighting, f: PlueckerPolynomial) -> Fraction:
-    """Weight of f under the edge weighting r (a rank-1 valuation value)."""
+    """Weight of f under the edge weighting r (a rank-1 valuation value).
+
+    The weights are scaled to integers over the lcm of their
+    denominators, so each monomial scores an integer dot product.
+    """
     if f.is_zero:
         raise ValueError("the zero polynomial has no weight")
-    t = r.tree
-    _check_labels(t, f)
-    g = straighten(f, order=t.planar_leaf_order)
-    d = dissimilarity(r)
-    best: Fraction | None = None
-    for m, _ in g.terms:
-        w = sum((d.value(i, j) * exp for (i, j), exp in m.exps), Fraction(0))
-        if best is None or w > best:
-            best = w
-    assert best is not None, "straightening a nonzero polynomial gave zero"
-    return best
+    den = math.lcm(*(w.denominator for w in r.values))
+    scaled = [w.numerator * (den // w.denominator) for w in r.values]
+    best = max(
+        sum(w * c for w, c in zip(scaled, vec)) for vec in _planar_edge_vectors(r.tree, f)
+    )
+    return Fraction(best, den)
 
 
 def rank_valuation(t: LabeledTree, o: Sequence[EdgeId], f: PlueckerPolynomial) -> ValueVector:
@@ -144,15 +161,8 @@ def rank_valuation(t: LabeledTree, o: Sequence[EdgeId], f: PlueckerPolynomial) -
     order = _check_order(t, o)
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    _check_labels(t, f)
-    g = straighten(f, order=t.planar_leaf_order)
-    best: tuple[int, ...] | None = None
-    for m, _ in g.terms:
-        sw = monomial_weight(t, m)
-        vec = tuple(sw.value(e) for e in order)
-        if best is None or vec > best:
-            best = vec
-    assert best is not None, "straightening a nonzero polynomial gave zero"
+    perm = [t._edge_index[e] for e in order]
+    best = max(tuple(vec[k] for k in perm) for vec in _planar_edge_vectors(t, f))
     return ValueVector(t, order, best)
 
 
@@ -161,9 +171,9 @@ def valuation_matrix(t: LabeledTree, o: Sequence[EdgeId]) -> ValuationMatrix:
     if not t.is_trivalent:
         raise ValueError("valuation matrices are defined for trivalent trees")
     order = _check_order(t, o)
-    paths = {pr: leaf_path(t, *pr) for pr in leaf_pairs(t.n)}
+    paths = [t._path(i, j) for i, j in leaf_pairs(t.n)]
     rows = tuple(
-        tuple(1 if e in paths[pr] else 0 for pr in leaf_pairs(t.n)) for e in order
+        tuple(1 if t._edge_index[e] in path else 0 for path in paths) for e in order
     )
     return ValuationMatrix(t, order, rows)
 

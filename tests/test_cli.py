@@ -5,7 +5,7 @@ import pytest
 
 from grasstrop import cli, report
 from grasstrop.cli import main
-from grasstrop.trees import tree_from_json, tree_to_json
+from grasstrop.trees import enumerate_trivalent, tree_from_json, tree_to_json
 from util import trees_cached
 
 SIGMA1_JSON = '{"n":4,"edges":[[1,5],[2,5],[3,6],[4,6],[5,6]]}'
@@ -29,6 +29,10 @@ def test_trees_enumerate_count(capsys):
         code, out, err = run(capsys, "trees", "enumerate", "--n", str(n), "--count")
         assert code == 0 and err == ""
         assert out == f"{expect}\n"
+    # --count uses the closed form; it must agree with the enumeration
+    for n in range(3, 8):
+        _, out, _ = run(capsys, "trees", "enumerate", "--n", str(n), "--count")
+        assert out == f"{len(enumerate_trivalent(n))}\n"
 
 
 def test_trees_enumerate_json(capsys):
@@ -187,6 +191,24 @@ def test_malformed_json_input(capsys, monkeypatch):
     code, _, err = run(capsys, "trop", "dissim", "--input", "-")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("trop", "check"), '{"n":4,"d":[1,2]}'),
+        (("trop", "reconstruct"), '{"n":4,"d":[1,2]}'),
+        (("trop", "dissim"), "[1,2]"),
+        (("trop", "dissim"), '{"tree":[1,2],"weights":{}}'),
+        (("trop", "dissim"), '{"tree":{"n":3,"edges":[[1,4],[2,4],[3,4]]},"weights":[1]}'),
+    ],
+    ids=["check-d-list", "reconstruct-d-list", "dissim-list", "dissim-tree-list", "dissim-weights-list"],
+)
+def test_wrong_shape_json_exits_2(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv, "--input", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_errors_exit_2(capsys):

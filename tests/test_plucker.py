@@ -155,3 +155,25 @@ def test_polynomial_arithmetic():
     assert g.max_degree() == 2
     assert g.max_label() == 4
     assert PlueckerPolynomial.of({PlueckerMonomial.one(): 0}).is_zero
+
+
+def test_straighten_crossing_heavy_product():
+    # the four diameters of the octagon cross pairwise; their cube has
+    # degree 12 and needs thousands of rewrites
+    f = p(1, 5) * p(2, 6) * p(3, 7) * p(4, 8)
+    f3 = f * f * f
+    g = straighten(f3)
+    assert len(g.terms) == 364
+    assert all(is_noncrossing(m) for m in g.monomials())
+    rng = random.Random(17)
+    for _ in range(2):
+        mat = random_matrix(rng, 8)
+        assert eval_on_minors(f3, mat) == eval_on_minors(g, mat)
+
+
+def test_straighten_cancels_a_pending_crossing_monomial():
+    # rewriting the crossing p13*p25 in the first term yields p12*p14*p35,
+    # which still crosses and cancels the second term while it waits its turn
+    f = p(1, 3) * p(1, 4) * p(2, 5) - p(1, 2) * p(1, 4) * p(3, 5)
+    assert straighten(f) == p(1, 4) * p(1, 5) * p(2, 3)
+    assert straighten(f - p(1, 4) * p(1, 5) * p(2, 3)).is_zero

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from grasstrop import (
     quasi_valuation_weight,
     rank_valuation,
     straighten,
+    three_term_relation,
     tropical_weight,
     valuation_matrix,
 )
@@ -91,6 +96,8 @@ def test_tropical_weight_examples():
         tropical_weight(r, PlueckerPolynomial.zero())
     with pytest.raises(ValueError):
         tropical_weight(r, p(1, 5))
+    with pytest.raises(ValueError):
+        tropical_weight(r, three_term_relation(1, 2, 3, 4))  # zero modulo the Pluecker ideal
 
 
 def test_tropical_weight_uses_planar_frame():
@@ -214,3 +221,61 @@ def test_rank_valuation_rejects_bad_input():
         rank_valuation(t, t.edge_ids, p(1, 5))
     with pytest.raises(ValueError):
         rank_valuation(t, ("l1", "l2"), p(1, 2))
+    with pytest.raises(ValueError):
+        rank_valuation(t, t.edge_ids, three_term_relation(1, 2, 3, 4))
+
+
+def test_tropical_weight_is_max_over_planar_expansion():
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.choice([5, 6, 7])
+        t = random_tree(rng, n)
+        weights = {}
+        for eid in t.edge_ids:
+            lo = -7 if eid.startswith("l") else 0
+            weights[eid] = Fraction(rng.randint(lo, 9), rng.choice([1, 2, 3, 5, 7]))
+        r = EdgeWeighting.of(t, weights)
+        d = dissimilarity(r)
+        f = random_polynomial(rng, n, max_degree=3, max_terms=4)
+        g = straighten(f, order=t.planar_leaf_order)
+        expect = max(
+            sum((d.value(i, j) * e for (i, j), e in m.exps), Fraction(0)) for m in g.monomials()
+        )
+        assert tropical_weight(r, f) == expect
+
+
+def test_rank_valuation_is_max_over_monomial_weights():
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.choice([5, 6, 7])
+        t = random_tree(rng, n)
+        o = list(t.edge_ids)
+        rng.shuffle(o)
+        f = random_polynomial(rng, n, max_degree=3, max_terms=4)
+        g = straighten(f, order=t.planar_leaf_order)
+        expect = max(tuple(monomial_weight(t, m).value(e) for e in o) for m in g.monomials())
+        assert rank_valuation(t, o, f).values == expect
+
+
+def test_valuation_checks_survive_optimized_mode():
+    # python -O strips assert statements; the valuations must still refuse
+    # a polynomial whose planar expansion is zero
+    code = (
+        "from grasstrop import EdgeWeighting, enumerate_trivalent, rank_valuation,"
+        " three_term_relation, tropical_weight\n"
+        "t = enumerate_trivalent(4)[0]\n"
+        "f = three_term_relation(1, 2, 3, 4)\n"
+        "for call in (lambda: tropical_weight(EdgeWeighting.of(t, {}), f),"
+        " lambda: rank_valuation(t, t.edge_ids, f)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('no ValueError')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
