@@ -29,23 +29,13 @@ from .trees import double_factorial, enumerate_trivalent, parse_edge_order
 from .trees import tree_from_json, tree_to_json, tree_to_newick
 from .valuation import valuation_matrix
 
-DEFAULT_SEED = 1729
-
-
 @dataclass(frozen=True)
 class Config:
-    """Resolved command options.
-
-    The seed and sample count are fixed constants so that any sampling
-    helper reached from a command is reproducible run to run; no current
-    subcommand draws samples.
-    """
+    """Resolved command options: input and output paths and the format."""
 
     input_path: str | None = None
     output_path: str | None = None
     fmt: str | None = None
-    seed: int = DEFAULT_SEED
-    samples: int = 100
 
 
 def _read_text(path: str) -> str:

@@ -40,7 +40,8 @@ def exact_rank(rows: list[Mapping[int, int]]) -> int:
                 val = r.get(c, 0) * pval - piv.get(c, 0) * rv
                 if val:
                     q, rem = divmod(val, prev)
-                    assert rem == 0, "fraction-free elimination lost exactness"
+                    if rem != 0:
+                        raise RuntimeError("fraction-free elimination lost exactness")
                     new[c] = q
             if new:
                 nxt.append(new)

@@ -11,14 +11,28 @@ every vertex of a planar embedding.
 
 from __future__ import annotations
 
-import itertools
-import json
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
-from .trees import EdgeId, LabeledTree, leaf_path, tree_from_json_dict, tree_to_json_dict
+from .trees import EdgeId, LabeledTree, tree_from_json_dict, tree_to_json_dict
+
+
+def _first_violation(
+    stars: Iterable[tuple[int, int, int]], values: Sequence[int]
+) -> int | None:
+    """Index of the first star whose three values have an odd sum or break
+    the triangle inequality |a-b| <= c <= a+b; None when every star passes.
+
+    Each star lists three positions in values.  This is the vertex rule of
+    the tree semigroup, and the only place it is written.
+    """
+    for k, (ia, ib, ic) in enumerate(stars):
+        a, b, c = values[ia], values[ib], values[ic]
+        if (a + b + c) % 2 != 0 or not (abs(a - b) <= c <= a + b):
+            return k
+    return None
 
 
 def pieri_dim(i: int, j: int, k: int) -> int:
@@ -28,9 +42,7 @@ def pieri_dim(i: int, j: int, k: int) -> int:
     """
     if i < 0 or j < 0 or k < 0:
         raise ValueError(f"weights must be nonnegative, got ({i}, {j}, {k})")
-    if (i + j + k) % 2 != 0:
-        return 0
-    return 1 if abs(i - j) <= k <= i + j else 0
+    return 1 if _first_violation(((0, 1, 2),), (i, j, k)) is None else 0
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +86,8 @@ class SigmaWeight:
 
     def value(self, eid: EdgeId) -> int:
         try:
-            return self.values[self.tree.edge_ids.index(eid)]
-        except ValueError:
+            return self.values[self.tree._edge_index[eid]]
+        except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
 
     def as_dict(self) -> dict[EdgeId, int]:
@@ -107,28 +119,17 @@ class SigmaWeight:
         return cls.of(tree, {str(k): int(v) for k, v in raw.items()})
 
 
-def _vertex_values(t: LabeledTree, s: SigmaWeight, v: int) -> tuple[int, ...]:
-    return tuple(s.value(t.edge_id_of(v, w)) for w in t.adjacency[v])
-
-
 def invariant_dim(t: LabeledTree, s: SigmaWeight) -> int:
     """Product over internal vertices of local tensor invariant dimensions."""
     if s.tree != t:
         raise ValueError("weight does not live on this tree")
+    vals = s.values
     out = 1
-    for v in t.internal_vertices:
-        out *= _tensor_invariant_dim(tuple(sorted(_vertex_values(t, s, v))))
+    for star in t._stars:
+        out *= _tensor_invariant_dim(tuple(sorted(vals[k] for k in star)))
         if out == 0:
             return 0
     return out
-
-
-def _violating_vertex(t: LabeledTree, s: SigmaWeight) -> int | None:
-    for v in t.internal_vertices:
-        a, b, c = _vertex_values(t, s, v)
-        if (a + b + c) % 2 != 0 or not (abs(a - b) <= c <= a + b):
-            return v
-    return None
 
 
 def in_semigroup(t: LabeledTree, s: SigmaWeight) -> bool:
@@ -137,13 +138,16 @@ def in_semigroup(t: LabeledTree, s: SigmaWeight) -> bool:
         raise ValueError("semigroup membership is defined for trivalent trees")
     if s.tree != t:
         raise ValueError("weight does not live on this tree")
-    return _violating_vertex(t, s) is None
+    return _first_violation(t._stars, s.values) is None
 
 
 def omega(t: LabeledTree, i: int, j: int) -> SigmaWeight:
     """Indicator weight of the path between leaves i and j."""
-    path = leaf_path(t, i, j)
-    return SigmaWeight(t, tuple(1 if e in path else 0 for e in t.edge_ids))
+    if not (1 <= i <= t.n and 1 <= j <= t.n):
+        raise ValueError(f"leaves must lie in 1..{t.n}, got ({i}, {j})")
+    if i == j:
+        raise ValueError("leaf path needs two distinct leaves")
+    return SigmaWeight(t, tuple(t._edge_counts((((min(i, j), max(i, j)), 1),))))
 
 
 @dataclass(frozen=True)
@@ -174,17 +178,6 @@ class PairMultiset:
         return [[i, j, m] for (i, j), m in sorted(self.counts().items())]
 
 
-def _rooted_trivalent(t: LabeledTree):
-    """Parent map, and per internal vertex its (left, right) children by min leaf."""
-    parent, children, minleaf = t._rooted
-    lr: dict[int, tuple[int, int]] = {}
-    for v in t.internal_vertices:
-        kids = children[v]
-        assert len(kids) == 2, "rooted trivalent vertex must have two children"
-        lr[v] = (kids[0], kids[1])
-    return parent, lr
-
-
 def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
     """Split a semigroup element into path indicators by strand tracing.
 
@@ -196,27 +189,27 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
     """
     if not t.is_trivalent:
         raise ValueError("decomposition is defined for trivalent trees")
-    if not in_semigroup(t, s):
-        v = _violating_vertex(t, s)
-        vals = _vertex_values(t, s, v)
+    if s.tree != t:
+        raise ValueError("weight does not live on this tree")
+    bad = _first_violation(t._stars, s.values)
+    if bad is not None:
+        vals = tuple(s.values[k] for k in t._stars[bad])
         raise ValueError(
-            f"weight is not in the semigroup: vertex {v} sees values {vals} "
-            "(odd sum or triangle inequality fails)"
+            f"weight is not in the semigroup: vertex {t.internal_vertices[bad]} "
+            f"sees values {vals} (odd sum or triangle inequality fails)"
         )
-    parent, lr = _rooted_trivalent(t)
+    parent, children, _ = t._rooted
     root_child = t.adjacency[1][0]
-
     # edges are keyed by their endpoint away from the root
-    def sval(v: int) -> int:
-        return s.value(t.edge_id_of(v, parent[v]))
+    sval = {v: s.values[k] for v, k in t._parent_edge.items()}
 
     def step(v: int, slot: int, down: bool) -> tuple[int, int, bool] | int:
         """One move across a vertex; returns the next state or the final leaf."""
         if down:
             if v <= t.n:
                 return v
-            left, right = lr[v]
-            a, b, c = sval(v), sval(left), sval(right)
+            left, right = children[v]
+            a, b, c = sval[v], sval[left], sval[right]
             x_ab = (a + b - c) // 2
             if slot < x_ab:
                 return left, slot, True
@@ -224,10 +217,9 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
         u = parent[v]
         if u == 1:
             return 1
-        left, right = lr[u]
-        a, b, c = sval(u), sval(left), sval(right)
+        left, right = children[u]
+        a, b, c = sval[u], sval[left], sval[right]
         x_ab = (a + b - c) // 2
-        x_bc = (b + c - a) // 2
         if v == left:
             if slot < x_ab:
                 return u, slot, False
@@ -241,7 +233,7 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
     for leaf in t.leaves:
         key = root_child if leaf == 1 else leaf
         down = leaf == 1
-        for slot in range(sval(key)):
+        for slot in range(sval[key]):
             if (key, slot) in visited:
                 continue
             state: tuple[int, int, bool] | int = (key, slot, down)
@@ -252,14 +244,12 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
                 if not isinstance(state, int):
                     visited.add(state[:2])
             end = state
-            assert end != leaf, "strand returned to its starting leaf"
+            if end == leaf:
+                raise RuntimeError("strand returned to its starting leaf")
             pairs.append((min(leaf, end), max(leaf, end)))
     out = PairMultiset(tuple(pairs))
-
-    total = SigmaWeight(t, tuple(0 for _ in t.edge_ids))
-    for i, j in out:
-        total = total + omega(t, i, j)
-    assert total == s, "strand decomposition does not sum back to the weight"
+    if tuple(t._edge_counts(out.counts().items())) != s.values:
+        raise RuntimeError("strand decomposition does not sum back to the weight")
     return out
 
 
@@ -276,54 +266,45 @@ def graded_count(
         raise ValueError("give exactly one of plucker_degree= or box_bound=")
     if not t.is_trivalent:
         raise ValueError("graded counts are defined for trivalent trees")
-    parent, lr = _rooted_trivalent(t)
-    root_child = t.adjacency[1][0]
-
+    # Tables map (edge value, leaf sum below) -> count.  Box mode keeps the
+    # leaf sum at 0 and caps edge values at m; degree mode caps both at 2d.
     if box_bound is not None:
-        m = box_bound
-        if m < 0:
-            raise ValueError(f"box bound must be nonnegative, got {m}")
+        if box_bound < 0:
+            raise ValueError(f"box bound must be nonnegative, got {box_bound}")
+        cap, top = box_bound, 0
+        leaf_table = {(a, 0): 1 for a in range(cap + 1)}
+    else:
+        if plucker_degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {plucker_degree}")
+        cap = top = 2 * plucker_degree
+        leaf_table = {(a, a): 1 for a in range(cap + 1)}
 
-        def table(v: int) -> dict[int, int]:
-            if v <= t.n:
-                return {a: 1 for a in range(m + 1)}
-            left, right = lr[v]
-            tl, tr = table(left), table(right)
-            out: dict[int, int] = {}
-            for b, cb in tl.items():
-                for c, cc in tr.items():
-                    lo, hi = abs(b - c), min(b + c, m)
-                    for a in range(lo, hi + 1, 2):
-                        out[a] = out.get(a, 0) + cb * cc
-            return out
-
-        return sum(table(root_child).values())
-
-    d = plucker_degree
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got {d}")
-    top = 2 * d
-
-    def table_deg(v: int) -> dict[tuple[int, int], int]:
-        """(edge value, leaf sum below) -> count, leaf sum capped at 2d."""
+    _, children, _ = t._rooted
+    root_child = t.adjacency[1][0]
+    order = [root_child]
+    for v in order:
+        order.extend(children[v])
+    tables: dict[int, dict[tuple[int, int], int]] = {}
+    for v in reversed(order):
         if v <= t.n:
-            return {(a, a): 1 for a in range(top + 1)}
-        left, right = lr[v]
-        tl, tr = table_deg(left), table_deg(right)
+            tables[v] = leaf_table
+            continue
+        left, right = children[v]
+        right_table = tables.pop(right).items()
         out: dict[tuple[int, int], int] = {}
-        for (b, sb), cb in tl.items():
-            for (c, sc), cc in tr.items():
+        for (b, sb), cb in tables.pop(left).items():
+            for (c, sc), cc in right_table:
                 stot = sb + sc
                 if stot > top:
                     continue
-                lo, hi = abs(b - c), min(b + c, top)
-                for a in range(lo, hi + 1, 2):
+                for a in range(abs(b - c), min(b + c, cap) + 1, 2):
                     key = (a, stot)
                     out[key] = out.get(key, 0) + cb * cc
-        return out
-
-    tbl = table_deg(root_child)
-    return sum(cnt for (a, stot), cnt in tbl.items() if a + stot == top)
+        tables[v] = out
+    counts = tables[root_child]
+    if box_bound is not None:
+        return sum(counts.values())
+    return sum(cnt for (a, stot), cnt in counts.items() if a + stot == top)
 
 
 def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> bool:
@@ -331,24 +312,18 @@ def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> 
 
     Interior means every edge value is strictly between 0 and m and all
     triangle inequalities are strict; the check is that (tau - 2, m - 3)
-    always lands back in the graded semigroup.
+    always lands back in the graded semigroup.  For an even vertex sum,
+    |a-b| < c < a+b holds exactly when |a-b| <= c-2 <= a+b-4, so the
+    values are drawn already shifted by -2 and one vertex test decides
+    both interiority and the shift.  A shifted value is at most m - 3 by
+    the draw range, so every sample that is found passes; the check fails
+    only by raising RuntimeError when no interior point turns up.
     """
     if not t.is_trivalent:
         raise ValueError("the witness check is defined for trivalent trees")
     rng = random.Random(seed)
     edge_count = len(t.edge_ids)
-    corners = tuple(
-        tuple(t._edge_index[t.edge_id_of(v, u)] for u in t.adjacency[v])
-        for v in t.internal_vertices
-    )
-
-    def interior(vals: list[int]) -> bool:
-        for ia, ib, ic in corners:
-            a, b, c = vals[ia], vals[ib], vals[ic]
-            if (a + b + c) % 2 != 0 or not (abs(a - b) < c < a + b):
-                return False
-        return True
-
+    stars = t._stars
     # m uniform in 3..12, then each edge value uniform in 1..m-1, drawn by
     # rejection on getrandbits: the same draws as rng.randint(3, 12) and
     # rng.randint(1, m - 1), without randint's per-call overhead.
@@ -360,21 +335,14 @@ def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> 
                 r = getrandbits(4)
             m = 3 + r
             width, bits = m - 1, (m - 1).bit_length()
-            vals = []
+            shifted = []
             for _ in range(edge_count):
                 r = getrandbits(bits)
                 while r >= width:
                     r = getrandbits(bits)
-                vals.append(1 + r)
-            if interior(vals):
+                shifted.append(r - 1)
+            if _first_violation(stars, shifted) is None:
                 break
         else:
             raise RuntimeError("could not sample an interior point; ranges too tight")
-        shifted = tuple(v - 2 for v in vals)
-        for ia, ib, ic in corners:
-            a, b, c = shifted[ia], shifted[ib], shifted[ic]
-            if (a + b + c) % 2 != 0 or not (abs(a - b) <= c <= a + b):
-                return False
-        if any(v > m - 3 for v in shifted):
-            return False
     return True

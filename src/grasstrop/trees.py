@@ -285,6 +285,28 @@ class LabeledTree:
             path = self._leaf_paths[(i, j)] = tuple(self._walk_path(i, j))
         return path
 
+    def _edge_counts(self, pairs: Iterable[tuple[tuple[int, int], int]]) -> list[int]:
+        """Per edge, in edge_ids order: the multiplicities of the leaf pairs i < j
+        whose path uses it."""
+        counts = [0] * len(self.edge_ids)
+        for (i, j), mult in pairs:
+            for k in self._path(i, j):
+                counts[k] += mult
+        return counts
+
+    @cached_property
+    def _stars(self) -> tuple[tuple[int, ...], ...]:
+        """Per internal vertex, in internal_vertices order: the edge_ids indices
+        of its incident edges, in adjacency order."""
+        parent, children, _ = self._rooted
+        up = self._parent_edge
+        stars = []
+        for v in self.internal_vertices:
+            edge_to = {parent[v]: up[v]}
+            edge_to.update((w, up[w]) for w in children[v])
+            stars.append(tuple(edge_to[w] for w in self.adjacency[v]))
+        return tuple(stars)
+
     @cached_property
     def internal_edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(e for e in self.edge_ids if e.startswith("e"))

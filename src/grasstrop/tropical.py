@@ -23,7 +23,6 @@ from .trees import (
     EdgeId,
     LabeledTree,
     _canonical_form,
-    leaf_path,
     tree_from_json_dict,
     tree_to_json_dict,
 )
@@ -73,8 +72,8 @@ class EdgeWeighting:
 
     def weight(self, eid: EdgeId) -> Fraction:
         try:
-            return self.values[self.tree.edge_ids.index(eid)]
-        except ValueError:
+            return self.values[self.tree._edge_index[eid]]
+        except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
 
     def as_dict(self) -> dict[EdgeId, Fraction]:
@@ -269,9 +268,9 @@ def is_tropical_point(d: DissimilarityVector) -> tuple[bool, tuple[QuartetWitnes
 
 def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
     """Path-sum dissimilarity vector of an edge weighting."""
-    t = r.tree
-    wmap = r.as_dict()
-    vals = [sum(wmap[e] for e in leaf_path(t, i, j)) for i, j in leaf_pairs(t.n)]
+    t, w = r.tree, r.values
+    # every path is read once, so walk it rather than fill the tree's path table
+    vals = [sum(w[k] for k in t._walk_path(i, j)) for i, j in leaf_pairs(t.n)]
     return DissimilarityVector(t.n, tuple(vals))
 
 
@@ -420,7 +419,8 @@ def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting
         u, v = key
         weights[tree.edge_id_of(old2new[u], old2new[v])] = w
     r = EdgeWeighting.of(tree, weights)
-    assert dissimilarity(r) == d, "reconstructed weighting does not reproduce the input"
+    if dissimilarity(r) != d:
+        raise RuntimeError("reconstructed weighting does not reproduce the input")
     return tree, r
 
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .plucker import Exps, PlueckerMonomial, PlueckerPolynomial, straighten
+from .plucker import PlueckerMonomial, PlueckerPolynomial, straighten
 from .semigroup import SigmaWeight
 from .trees import EdgeId, LabeledTree
 from .tropical import (
@@ -51,10 +52,15 @@ class ValueVector:
     def v(self) -> dict[EdgeId, int]:
         return dict(zip(self.order, self.values))
 
+    @cached_property
+    def _slot(self) -> dict[EdgeId, int]:
+        """Position of each edge id in order."""
+        return {eid: k for k, eid in enumerate(self.order)}
+
     def value(self, eid: EdgeId) -> int:
         try:
-            return self.values[self.order.index(eid)]
-        except ValueError:
+            return self.values[self._slot[eid]]
+        except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
 
     def __add__(self, other: "ValueVector") -> "ValueVector":
@@ -80,13 +86,26 @@ class ValuationMatrix:
     def pairs(self) -> list[tuple[int, int]]:
         return leaf_pairs(self.tree.n)
 
+    @cached_property
+    def _row(self) -> dict[EdgeId, int]:
+        return {eid: k for k, eid in enumerate(self.order)}
+
+    @cached_property
+    def _column(self) -> dict[tuple[int, int], int]:
+        return {pair: k for k, pair in enumerate(self.pairs)}
+
     def entry(self, eid: EdgeId, i: int, j: int) -> int:
-        r = self.order.index(eid)
-        c = self.pairs.index((min(i, j), max(i, j)))
-        return self.rows[r][c]
+        try:
+            r = self._row[eid]
+        except KeyError:
+            raise ValueError(f"unknown edge id {eid!r}") from None
+        return self.column(i, j)[r]
 
     def column(self, i: int, j: int) -> tuple[int, ...]:
-        c = self.pairs.index((min(i, j), max(i, j)))
+        try:
+            c = self._column[(min(i, j), max(i, j))]
+        except KeyError:
+            raise ValueError(f"({i}, {j}) is not a leaf pair for n={self.tree.n}") from None
         return tuple(row[c] for row in self.rows)
 
     def to_tsv(self) -> str:
@@ -111,15 +130,6 @@ def _check_labels(t: LabeledTree, f: PlueckerPolynomial) -> None:
         )
 
 
-def _edge_counts(t: LabeledTree, exps: Exps) -> list[int]:
-    """Per edge, in edge_ids order: sum of alpha_ij over the paths i to j it lies on."""
-    counts = [0] * len(t.edge_ids)
-    for (i, j), e in exps:
-        for k in t._path(i, j):
-            counts[k] += e
-    return counts
-
-
 def _planar_edge_vectors(t: LabeledTree, f: PlueckerPolynomial) -> list[list[int]]:
     """Edge count vectors of the monomials of f's expansion in the tree's planar frame.
 
@@ -130,12 +140,12 @@ def _planar_edge_vectors(t: LabeledTree, f: PlueckerPolynomial) -> list[list[int
     g = straighten(f, order=t.planar_leaf_order)
     if g.is_zero:
         raise ValueError("the polynomial vanishes modulo the Pluecker ideal and has no value")
-    return [_edge_counts(t, m.exps) for m, _ in g.terms]
+    return [t._edge_counts(m.exps) for m, _ in g.terms]
 
 
 def monomial_weight(t: LabeledTree, m: PlueckerMonomial) -> SigmaWeight:
     """The edge weight sum alpha_ij * omega(i, j) of a monomial."""
-    return SigmaWeight(t, tuple(_edge_counts(t, m.exps)))
+    return SigmaWeight(t, tuple(t._edge_counts(m.exps)))
 
 
 def tropical_weight(r: EdgeWeighting, f: PlueckerPolynomial) -> Fraction:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from grasstrop import cli, report
+from grasstrop import report
 from grasstrop.cli import main
 from grasstrop.trees import enumerate_trivalent, tree_from_json, tree_to_json
 from util import trees_cached
@@ -235,9 +235,3 @@ def test_round_trip_tree_json():
     t = trees_cached(4)[0]
     assert tree_to_json(t) == SIGMA1_JSON
     assert tree_from_json(SIGMA1_JSON) == t
-
-
-def test_config_defaults():
-    cfg = cli.Config()
-    assert cfg.seed == cli.DEFAULT_SEED == 1729
-    assert cfg.samples == 100

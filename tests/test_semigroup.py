@@ -17,6 +17,7 @@ from grasstrop import (
     pieri_dim,
 )
 from oracles import (
+    _vertex_ok,
     achievable_weights,
     brute_force_box_count,
     brute_force_degree_count,
@@ -42,6 +43,13 @@ def test_pieri_dim():
     assert pieri_dim(5, 1, 2) == 0
     with pytest.raises(ValueError):
         pieri_dim(-1, 0, 1)
+    for vals in product(range(9), repeat=3):
+        assert pieri_dim(*vals) == int(_vertex_ok(vals))
+    # the Gorenstein shift: with an even sum, the strict inequalities
+    # |a-b| < c < a+b hold exactly when (a-2, b-2, c-2) is admissible
+    for a, b, c in product(range(2, 13), repeat=3):
+        interior = (a + b + c) % 2 == 0 and abs(a - b) < c < a + b
+        assert interior == (pieri_dim(a - 2, b - 2, c - 2) == 1)
 
 
 def test_invariant_dim_examples():
@@ -182,6 +190,18 @@ def test_graded_count_box_tree_dependence_at_n6():
     assert brute_force_box_count(snowflake, 3) == 4883
     for m in (1, 2):
         assert len({graded_count(t, box_bound=m) for t in trees_cached(6)}) == 1
+
+
+def test_graded_count_deep_caterpillar():
+    # a path of 1498 internal vertices, deeper than the recursion limit
+    n = 1500
+    edges = [(1, n + 1), (2, n + 1), (n - 1, 2 * n - 2), (n, 2 * n - 2)]
+    edges += [(k, n + k - 1) for k in range(3, n - 1)]
+    edges += [(v, v + 1) for v in range(n + 1, 2 * n - 2)]
+    t = LabeledTree(n, edges)
+    assert t.is_trivalent
+    assert graded_count(t, box_bound=0) == 1
+    assert graded_count(t, plucker_degree=1) == n * (n - 1) // 2
 
 
 def test_graded_count_mode_validation():

@@ -137,6 +137,22 @@ def test_leaf_path_symmetric_difference():
             assert leaf_path(t, i, j) ^ leaf_path(t, j, k) == leaf_path(t, i, k)
 
 
+def test_index_tables_match_edge_ids():
+    star = LabeledTree(5, [(i, 6) for i in range(1, 6)])
+    for t in [star, *enumerate_trivalent(5), *enumerate_trivalent(6)[::9]]:
+        ids, index = t.edge_ids, t._edge_index
+        assert t._stars == tuple(
+            tuple(index[t.edge_id_of(v, u)] for u in t.adjacency[v])
+            for v in t.internal_vertices
+        )
+        pairs = [((1, 2), 2), ((2, t.n), 1), ((1, t.n), 3)]
+        expect = [0] * len(ids)
+        for (i, j), mult in pairs:
+            for eid in leaf_path(t, i, j):
+                expect[index[eid]] += mult
+        assert t._edge_counts(pairs) == expect
+
+
 def test_planar_leaf_order():
     assert sigma(1).planar_leaf_order == (1, 2, 3, 4)
     assert sigma(2).planar_leaf_order == (1, 2, 4, 3)
