@@ -230,7 +230,8 @@ def initial_ideal_hilbert_check(
     gens: list[PlueckerPolynomial] = []
     for quad in combinations(range(1, n + 1), 4):
         g = initial_form(three_term_relation(*quad), dvec)
-        assert len(g.terms) == 2, "quartet did not degenerate to a binomial"
+        if len(g.terms) != 2:
+            raise RuntimeError(f"quartet {quad} did not degenerate to a binomial")
         gens.append(g)
     checks = []
     for d in range(1, d_max + 1):

@@ -45,7 +45,10 @@ def pieri_dim(i: int, j: int, k: int) -> int:
     return 1 if _first_violation(((0, 1, 2),), (i, j, k)) is None else 0
 
 
-@lru_cache(maxsize=None)
+# 1024 entries hold every sorted triple of values 0..16 (969 of them), so box
+# sweeps on trivalent trees up to that bound never evict, and memory stays
+# flat however many weights a process tests.
+@lru_cache(maxsize=1024)
 def _tensor_invariant_dim(vals: tuple[int, ...]) -> int:
     """Invariant dimension of V(a1) (x) ... (x) V(ak), by Clebsch-Gordan folding."""
     if not vals:

@@ -459,19 +459,32 @@ def tree_to_newick(t: LabeledTree, weights: Mapping[EdgeId, Fraction] | None = N
     """Newick string rooted at the internal vertex next to leaf 1."""
     _, _, minleaf = t._rooted
     root = t.adjacency[1][0]
+    out: list[str] = []
+    # items are text to emit or a (vertex, parent) subtree still to render
+    todo: list[str | tuple[int, int]] = []
 
-    def render(v: int, par: int) -> str:
+    def push_children(v: int, par: int, close: str) -> None:
+        kids = sorted((w for w in t.adjacency[v] if w != par), key=minleaf.get)
+        todo.append(close)
+        for pos, w in enumerate(reversed(kids)):
+            if pos:
+                todo.append(",")
+            todo.append((w, v))
+        todo.append("(")
+
+    push_children(root, 0, ");")
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, par = item
+        length = "" if weights is None else ":" + str(weights[t.edge_id_of(v, par)])
         if v <= t.n:
-            body = str(v)
+            out.append(str(v) + length)
         else:
-            kids = sorted((w for w in t.adjacency[v] if w != par), key=minleaf.get)
-            body = "(" + ",".join(render(w, v) for w in kids) + ")"
-        if weights is not None:
-            body += ":" + str(weights[t.edge_id_of(v, par)])
-        return body
-
-    kids = sorted(t.adjacency[root], key=minleaf.get)
-    return "(" + ",".join(render(w, root) for w in kids) + ");"
+            push_children(v, par, ")" + length)
+    return "".join(out)
 
 
 _NEWICK_TOKEN = re.compile(r"\(|\)|,|;|:[^,():;]+|[^,():;]+")
@@ -490,45 +503,46 @@ def tree_from_newick(text: str) -> tuple[LabeledTree, dict[EdgeId, Fraction] | N
 
     raw_edges: list[tuple[int, int]] = []
     lengths: dict[frozenset[int], Fraction | None] = {}
-    next_internal = [10**6]
+    next_internal = 10**6
     leaves_seen: set[int] = set()
+    open_nodes: list[int] = []  # internal nodes whose ')' is still to come
 
-    def parse_node() -> int:
-        nonlocal pos
-        if tokens[pos] == "(":
-            pos += 1
-            me = next_internal[0]
-            next_internal[0] += 1
-            while True:
-                child = parse_node()
-                length: Fraction | None = None
-                if pos < len(tokens) and tokens[pos].startswith(":"):
-                    try:
-                        length = Fraction(tokens[pos][1:])
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise ValueError(f"bad branch length {tokens[pos][1:]!r}") from exc
-                    pos += 1
-                raw_edges.append((me, child))
-                lengths[frozenset((me, child))] = length
-                if pos < len(tokens) and tokens[pos] == ",":
-                    pos += 1
-                    continue
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            open_nodes.append(next_internal)
+            next_internal += 1
+            continue
+        if not tok.isdigit():
+            raise ValueError(f"leaf labels must be integers, got {tok!r}")
+        node = int(tok)
+        if node in leaves_seen:
+            raise ValueError(f"leaf {node} appears twice")
+        leaves_seen.add(node)
+        # hang the finished node on its parent, closing every node that ends here
+        while open_nodes:
+            me = open_nodes[-1]
+            length: Fraction | None = None
+            if pos < len(tokens) and tokens[pos].startswith(":"):
+                try:
+                    length = Fraction(tokens[pos][1:])
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ValueError(f"bad branch length {tokens[pos][1:]!r}") from exc
+                pos += 1
+            raw_edges.append((me, node))
+            lengths[frozenset((me, node))] = length
+            if pos < len(tokens) and tokens[pos] == ",":
+                pos += 1
                 break
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ValueError("unbalanced parentheses in Newick string")
             pos += 1
-            return me
-        tok = tokens[pos]
-        if not tok.isdigit():
-            raise ValueError(f"leaf labels must be integers, got {tok!r}")
-        pos += 1
-        leaf = int(tok)
-        if leaf in leaves_seen:
-            raise ValueError(f"leaf {leaf} appears twice")
-        leaves_seen.add(leaf)
-        return leaf
+            node = open_nodes.pop()
+        else:
+            root = node
+            break
 
-    root = parse_node()
     if pos >= len(tokens) or tokens[pos].startswith(":"):
         # a root length is meaningless for an unrooted tree; tolerate and drop
         pos += 1

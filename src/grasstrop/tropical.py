@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,7 +55,7 @@ class EdgeWeighting:
             raise ValueError(
                 f"expected {len(self.tree.edge_ids)} weights, got {len(self.values)}"
             )
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         for eid, v in zip(self.tree.edge_ids, vals):
             if eid.startswith("e") and v < 0:
@@ -113,7 +114,8 @@ class DissimilarityVector:
         expect = self.n * (self.n - 1) // 2
         if len(self.values) != expect:
             raise ValueError(f"expected {expect} entries for n={self.n}, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def of(cls, n: int, data: Mapping[tuple[int, int], object] | Iterable[object]) -> "DissimilarityVector":
@@ -243,13 +245,20 @@ class QuartetWitness:
         return f"quad {self.quad}: " + "  ".join(parts) + f"  max at {tags}"
 
 
-def _quartet(d: DissimilarityVector, i: int, j: int, k: int, l: int) -> QuartetWitness:
-    s0 = d.value(i, j) + d.value(k, l)
-    s1 = d.value(i, k) + d.value(j, l)
-    s2 = d.value(i, l) + d.value(j, k)
-    top = max(s0, s1, s2)
-    attained = tuple(p for p, s in enumerate((s0, s1, s2)) if s == top)
-    return QuartetWitness((i, j, k, l), (s0, s1, s2), attained)
+# positions of the maximum among three sums, keyed by which sums equal it
+_ATTAINED = {
+    key: tuple(p for p in range(3) if key[p])
+    for key in itertools.product((False, True), repeat=3)
+}
+
+
+def _integer_table(d: DissimilarityVector) -> tuple[list[list[int]], int]:
+    """(D, den) with den the lcm of d's denominators and D[i][j] = den * d_ij."""
+    den = math.lcm(*{v.denominator for v in d.values})
+    table = [[0] * (d.n + 1) for _ in range(d.n + 1)]
+    for (i, j), v in zip(leaf_pairs(d.n), d.values):
+        table[i][j] = table[j][i] = v.numerator * (den // v.denominator)
+    return table, den
 
 
 def is_tropical_point(d: DissimilarityVector) -> tuple[bool, tuple[QuartetWitness, ...]]:
@@ -257,10 +266,19 @@ def is_tropical_point(d: DissimilarityVector) -> tuple[bool, tuple[QuartetWitnes
 
     Returns (True, all witnesses) or (False, (first failing witness,)).
     """
+    table, den = _integer_table(d)
+    exact: dict[int, Fraction] = {}  # integer sum -> the sum as a rational
     witnesses = []
     for i, j, k, l in itertools.combinations(range(1, d.n + 1), 4):
-        w = _quartet(d, i, j, k, l)
-        if not w.ok:
+        di, dj, dk = table[i], table[j], table[k]
+        sums = (di[j] + dk[l], di[k] + dj[l], di[l] + dj[k])
+        top = max(sums)
+        attained = _ATTAINED[sums[0] == top, sums[1] == top, sums[2] == top]
+        for s in sums:
+            if s not in exact:
+                exact[s] = Fraction(s, den)
+        w = QuartetWitness((i, j, k, l), (exact[sums[0]], exact[sums[1]], exact[sums[2]]), attained)
+        if len(attained) < 2:
             return False, (w,)
         witnesses.append(w)
     return True, tuple(witnesses)
@@ -268,9 +286,26 @@ def is_tropical_point(d: DissimilarityVector) -> tuple[bool, tuple[QuartetWitnes
 
 def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
     """Path-sum dissimilarity vector of an edge weighting."""
-    t, w = r.tree, r.values
-    # every path is read once, so walk it rather than fill the tree's path table
-    vals = [sum(w[k] for k in t._walk_path(i, j)) for i, j in leaf_pairs(t.n)]
+    t = r.tree
+    den = math.lcm(*{v.denominator for v in r.values})
+    w = [v.numerator * (den // v.denominator) for v in r.values]
+    parent, _, _ = t._rooted
+    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in parent}
+    for v, k in t._parent_edge.items():
+        nbrs[v].append((parent[v], w[k]))
+        nbrs[parent[v]].append((v, w[k]))
+    vals: list[Fraction] = []
+    for i in range(1, t.n):
+        # one walk from leaf i gives its path sums to every later leaf
+        dist = {i: 0}
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for u, x in nbrs[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + x
+                    stack.append(u)
+        vals += [Fraction(dist[j], den) for j in range(i + 1, t.n + 1)]
     return DissimilarityVector(t.n, tuple(vals))
 
 
@@ -278,112 +313,77 @@ def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
 # Reconstruction
 
 
-def _separated(dist, labels: tuple[int, ...], i: int, j: int) -> bool:
-    """Does some quadruple split i from j with a strict four-point minimum?"""
-    others = [x for x in labels if x != i and x != j]
-    for k, l in itertools.combinations(others, 2):
-        s0 = dist(i, j) + dist(k, l)
-        s1 = dist(i, k) + dist(j, l)
-        s2 = dist(i, l) + dist(j, k)
-        # a unique minimum at ik|jl or il|jk puts i and j on opposite
-        # sides of the resolved quartet
-        if (s1 < s0 and s1 < s2) or (s2 < s0 and s2 < s1):
-            return True
-    return False
+def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
+    """Build a weighted tree leaf by leaf from Gromov products.
 
+    Returns None as soon as an insertion is inconsistent.  A returned
+    weighting is a candidate only: the caller checks that it reproduces d.
+    """
+    table, den = _integer_table(d)
+    n = d.n
+    # Lengths and positions (distances from leaf 1) are in units of
+    # 1/(2 den), so Gromov products are integers.  Adding m/den to every
+    # entry lengthens every leaf edge by m units.  In the minimal
+    # realization a leaf weight is a Gromov product of d, at least
+    # -3 max|den * d| units, so with this m every leaf edge is positive:
+    # no leaf lies on the path between two others.
+    m = 3 * max(abs(x) for row in table for x in row) + 1
+    dist = [[x + m for x in row] for row in table]
+    d1 = dist[1]
+    parent = [0] * (2 * n)
+    pos = [0] * (2 * n)
+    nbrs: list[list[int]] = [[] for _ in range(2 * n)]
+    parent[2], pos[2] = 1, 2 * d1[2]
+    nbrs[1], nbrs[2] = [2], [1]
+    fresh = n + 1
+    for x in range(3, n + 1):
+        dx = dist[x]
+        # the attachment point of x lies on the path from leaf 1 to the leaf
+        # b with the largest Gromov product (x|b) at leaf 1, at that distance
+        best, b = max((d1[x] + d1[b] - dx[b], -b) for b in range(2, x))
+        b = -b
+        if not 0 < best < pos[b] or best >= 2 * d1[x]:
+            return None
+        v = b
+        while pos[parent[v]] > best:
+            v = parent[v]
+        u = parent[v]
+        if pos[u] == best:
+            attach = u
+        else:
+            # subdivide the edge (u, v); no internal edge of length 0 arises
+            attach, fresh = fresh, fresh + 1
+            parent[attach], pos[attach] = u, best
+            parent[v] = attach
+            nbrs[u][nbrs[u].index(v)] = nbrs[v][nbrs[v].index(u)] = attach
+            nbrs[attach] = [u, v]
+        parent[x], pos[x] = attach, 2 * d1[x]
+        nbrs[attach].append(x)
+        nbrs[x] = [attach]
+        # stop at the first leaf whose distances the tree does not reproduce
+        far = {x: 0}
+        stack = [x]
+        while stack:
+            v = stack.pop()
+            for u in nbrs[v]:
+                if u not in far:
+                    far[u] = far[v] + abs(pos[u] - pos[v])
+                    stack.append(u)
+        if any(far[b] != 2 * dx[b] for b in range(1, x)):
+            return None
 
-class _Builder:
-    """Accumulates vertices and edges while reconstruction recurses."""
-
-    def __init__(self, n: int) -> None:
-        self.fresh = itertools.count(n + 1)
-        self.internal_edges: dict[frozenset[int], Fraction] = {}
-
-    def new_vertex(self) -> int:
-        return next(self.fresh)
-
-
-def _solve_star(dist, labels: tuple[int, ...], b: _Builder) -> tuple[dict[int, int], dict[int, Fraction]]:
-    i, j, k = labels[0], labels[1], labels[2]
-    v = b.new_vertex()
-    attach: dict[int, int] = {}
-    leafw: dict[int, Fraction] = {}
-    for x in labels:
-        p, q = (i, j) if x not in (i, j) else ((j, k) if x == i else (i, k))
-        leafw[x] = (dist(x, p) + dist(x, q) - dist(p, q)) / 2
-        attach[x] = v
-    for x, y in itertools.combinations(labels, 2):
-        assert dist(x, y) == leafw[x] + leafw[y], "star realization is inconsistent"
-    return attach, leafw
-
-
-def _solve(dist, labels: tuple[int, ...], b: _Builder) -> tuple[dict[int, int], dict[int, Fraction]]:
-    assert len(labels) >= 3, "reduced instance dropped below 3 labels"
-    if len(labels) == 3:
-        return _solve_star(dist, labels, b)
-
-    # sibling classes: labels never split apart by a strict quartet
-    parent = {x: x for x in labels}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in itertools.combinations(labels, 2):
-        if find(i) != find(j) and not _separated(dist, labels, i, j):
-            parent[find(i)] = find(j)
-    classes: dict[int, list[int]] = {}
-    for x in labels:
-        classes.setdefault(find(x), []).append(x)
-    groups = sorted((sorted(g) for g in classes.values()), key=lambda g: g[0])
-
-    if len(groups) == 1:
-        return _solve_star(dist, labels, b)
-
-    big = [g for g in groups if len(g) >= 2]
-    assert big, "no sibling class found on a non-star instance"
-    cls = big[0]
-    m = cls[0]
-    others = [x for x in labels if x not in cls]
-    assert len(others) >= 2, "reduction would leave fewer than 3 labels"
-
-    # Gromov reduction: replace the class by its smallest member m, at the
-    # distance of the class's attachment vertex.
-    dm: dict[int, Fraction] = {}
-    for x in others:
-        proj = {(dist(i, x) + dist(j, x) - dist(i, j)) / 2
-                for i, j in itertools.combinations(cls, 2)}
-        assert len(proj) == 1, "inconsistent Gromov products within a sibling class"
-        dm[x] = proj.pop()
-
-    def sub_dist(x: int, y: int) -> Fraction:
-        if x == m:
-            return dm[y]
-        if y == m:
-            return dm[x]
-        return dist(x, y)
-
-    sub_labels = tuple(sorted(others + [m]))
-    attach, leafw = _solve(sub_dist, sub_labels, b)
-
-    w_m = leafw.pop(m)
-    v_class = attach.pop(m)
-    assert w_m >= 0, "class attachment computed a negative internal weight"
-    if w_m > 0:
-        v = b.new_vertex()
-        b.internal_edges[frozenset((v, v_class))] = w_m
-    else:
-        v = v_class
-    x0 = others[0]
-    for leaf in cls:
-        w_leaf = dist(leaf, x0) - dm[x0]
-        for x in others[1:]:
-            assert dist(leaf, x) - dm[x] == w_leaf, "inconsistent leaf weight"
-        attach[leaf] = v
-        leafw[leaf] = w_leaf
-    return attach, leafw
+    edges = tuple((v, parent[v]) for v in range(2, fresh))
+    canonical, old2new = _canonical_form(n, edges)
+    tree = LabeledTree(n, canonical)
+    by_pair, _ = tree._edge_ids
+    values = [Fraction(0)] * len(tree.edge_ids)
+    for v, u in edges:
+        length = pos[v] - pos[u]
+        if v <= n or u == 1:  # a leaf edge: take the shift back off
+            length -= m
+        eid = by_pair[frozenset((old2new[v], old2new[u]))]
+        values[tree._edge_index[eid]] = Fraction(length, 2 * den)
+    return EdgeWeighting(tree, tuple(values))
 
 
 def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting]:
@@ -391,37 +391,23 @@ def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting
 
     Internal edges of the result have strictly positive weight; boundary
     points therefore come back on partially contracted (non-trivalent)
-    trees.  Raises ValueError with the violating quadruple if d fails the
-    four-point condition.
+    trees.  Raises ValueError with the first violating quadruple if d
+    fails the four-point condition.
     """
     if d.n < 3:
         raise ValueError(f"reconstruction needs at least 3 leaves, got n={d.n}")
+    r = _insert_leaves(d)
+    # a tree with nonnegative internal weights that realizes d certifies
+    # the four-point condition, so only a failure pays for the full scan
+    if r is not None and dissimilarity(r) == d:
+        return r.tree, r
     ok, witnesses = is_tropical_point(d)
-    if not ok:
-        w = witnesses[0]
-        raise ValueError(
-            f"not a tropical point: quadruple {w.quad} has a unique maximum ({w.describe()})"
-        )
-    b = _Builder(d.n)
-    labels = tuple(range(1, d.n + 1))
-    attach, leafw = _solve(d.value, labels, b)
-
-    edges = [(leaf, v) for leaf, v in attach.items()]
-    edges += [tuple(sorted(k)) for k in b.internal_edges]
-    tree = LabeledTree(d.n, tuple(edges))
-
-    # map raw vertex ids through canonicalization to name the edges
-    _, old2new = _canonical_form(d.n, tuple(edges))
-    weights: dict[EdgeId, Fraction] = {}
-    for leaf, v in attach.items():
-        weights[tree.edge_id_of(leaf, old2new[v])] = leafw[leaf]
-    for key, w in b.internal_edges.items():
-        u, v = key
-        weights[tree.edge_id_of(old2new[u], old2new[v])] = w
-    r = EdgeWeighting.of(tree, weights)
-    if dissimilarity(r) != d:
-        raise RuntimeError("reconstructed weighting does not reproduce the input")
-    return tree, r
+    if ok:
+        raise RuntimeError("leaf insertion failed on a vector that satisfies the four-point condition")
+    w = witnesses[0]
+    raise ValueError(
+        f"not a tropical point: quadruple {w.quad} has a unique maximum ({w.describe()})"
+    )
 
 
 def cone_of(d: DissimilarityVector) -> LabeledTree:

@@ -24,7 +24,8 @@ from oracles import (
     character_invariant_dim,
     hook_content_dim,
 )
-from util import random_tree, trees_cached
+from grasstrop.semigroup import _tensor_invariant_dim
+from util import caterpillar, random_tree, trees_cached
 
 
 def sigma(k):
@@ -195,10 +196,7 @@ def test_graded_count_box_tree_dependence_at_n6():
 def test_graded_count_deep_caterpillar():
     # a path of 1498 internal vertices, deeper than the recursion limit
     n = 1500
-    edges = [(1, n + 1), (2, n + 1), (n - 1, 2 * n - 2), (n, 2 * n - 2)]
-    edges += [(k, n + k - 1) for k in range(3, n - 1)]
-    edges += [(v, v + 1) for v in range(n + 1, 2 * n - 2)]
-    t = LabeledTree(n, edges)
+    t = caterpillar(n)
     assert t.is_trivalent
     assert graded_count(t, box_bound=0) == 1
     assert graded_count(t, plucker_degree=1) == n * (n - 1) // 2
@@ -258,3 +256,12 @@ def test_sigma_weight_validation_and_json():
     assert SigmaWeight.from_json_dict(s.to_json_dict()) == s
     assert (s + s).value("e3-4") == 6
     assert s.scaled(3).value("l1") == 6
+
+
+def test_invariant_dim_cache_stays_bounded():
+    t = trees_cached(6)[0]
+    rng = random.Random(47)
+    for _ in range(2000):
+        invariant_dim(t, SigmaWeight(t, tuple(2 * rng.randint(0, 30) for _ in t.edge_ids)))
+    info = _tensor_invariant_dim.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from grasstrop import (
     tree_to_json,
     tree_to_newick,
 )
+from util import caterpillar
 
 
 def sigma(k):
@@ -196,8 +198,6 @@ def test_newick_round_trip_plain():
 
 
 def test_newick_round_trip_with_lengths():
-    from fractions import Fraction
-
     t = sigma(1)
     w = {"l1": Fraction(1, 2), "l2": Fraction(3), "l3": Fraction(0),
          "l4": Fraction(2), "e3-4": Fraction(5, 4)}
@@ -205,6 +205,16 @@ def test_newick_round_trip_with_lengths():
     back, weights = tree_from_newick(text)
     assert tree_equal(back, t)
     assert weights == w
+
+
+def test_newick_round_trip_deep_caterpillar():
+    # a path of 1498 internal vertices, deeper than the recursion limit
+    t = caterpillar(1500)
+    back, weights = tree_from_newick(tree_to_newick(t))
+    assert back == t and weights is None
+    w = {eid: Fraction(k % 7 - 3, 1 + k % 4) for k, eid in enumerate(t.edge_ids)}
+    back, weights = tree_from_newick(tree_to_newick(t, weights=w))
+    assert back == t and weights == w
 
 
 def test_newick_text_n4():

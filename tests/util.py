@@ -69,3 +69,22 @@ def random_matrix(rng: random.Random, n: int):
         tuple(random_rational(rng) for _ in range(n)),
         tuple(random_rational(rng) for _ in range(n)),
     )
+
+
+def caterpillar(n: int) -> LabeledTree:
+    """The tree whose internal vertices form one path, leaves 1, 2 at one end."""
+    edges = [(1, n + 1), (2, n + 1), (n - 1, 2 * n - 2), (n, 2 * n - 2)]
+    edges += [(k, n + k - 1) for k in range(3, n - 1)]
+    edges += [(v, v + 1) for v in range(n + 1, 2 * n - 2)]
+    return LabeledTree(n, edges)
+
+
+def grown_tree(rng: random.Random, n: int) -> LabeledTree:
+    """Random trivalent tree: leaf k joins a uniformly chosen edge of the tree on k-1 leaves."""
+    edges = [(1, n + 1), (2, n + 1), (3, n + 1)]
+    fresh = n + 2
+    for k in range(4, n + 1):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, fresh), (v, fresh), (k, fresh)]
+        fresh += 1
+    return LabeledTree(n, edges)
