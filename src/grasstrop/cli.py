@@ -29,6 +29,11 @@ from .trees import double_factorial, enumerate_trivalent, parse_edge_order
 from .trees import tree_from_json, tree_to_json, tree_to_newick
 from .valuation import valuation_matrix
 
+# Largest n whose trees `trees enumerate` lists: 135135 trees at n=9, while
+# n=10 has 2027025 and n=12 already 654729075.  --count has no limit.
+_MAX_LISTED_N = 9
+
+
 @dataclass(frozen=True)
 class Config:
     """Resolved command options: input and output paths and the format."""
@@ -81,6 +86,11 @@ def cmd_trees_enumerate(args: argparse.Namespace) -> int:
         # there are (2n-5)!! trivalent trees on n labeled leaves
         _emit(cfg, f"{double_factorial(2 * args.n - 5)}\n")
         return 0
+    if args.n > _MAX_LISTED_N:
+        raise ValueError(
+            f"refusing to list the {double_factorial(2 * args.n - 5)} trees on {args.n} leaves "
+            f"(at most n={_MAX_LISTED_N}); use --count to count them"
+        )
     fmt = cfg.fmt or "json"
     lines = []
     for t in enumerate_trivalent(args.n):

@@ -6,7 +6,15 @@ renumbered n+1, n+2, ... in depth-first order from leaf 1, descending at
 each vertex into the subtree containing the smallest leaf first.  Two
 trees with the same splits therefore compare equal as plain values.
 
-Edges are addressed by stable string ids: the edge at leaf i is "l{i}",
+Every per-tree table comes from one walk rooted at leaf 1.  Inside the
+library an edge is addressed either by its position in `edge_ids` or by
+its child vertex, the endpoint away from leaf 1 (for the edge at leaf 1,
+the vertex next to it).  The walk meets the leaves in
+`planar_leaf_order`, and the leaves below any vertex form one contiguous
+slice of that order, so each split is kept as a pair of positions
+(lo, hi) instead of a set of leaves.
+
+Edges are named by stable string ids: the edge at leaf i is "l{i}",
 and an internal edge is named by the leaves on its side away from leaf 1,
 e.g. "e3-4" for the split {1,2}|{3,4}.  Naming internal edges by a pair of
 representative leaves is not enough: on the six-leaf tree whose three
@@ -37,11 +45,11 @@ def double_factorial(k: int) -> int:
 
 def _build_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {}
-    seen: set[frozenset[int]] = set()
+    seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        key = frozenset((u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add(key)
@@ -73,6 +81,37 @@ def _build_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list
     return adj
 
 
+def _root_at_leaf_1(
+    n: int, adj: Mapping[int, Iterable[int]]
+) -> tuple[list[int], dict[int, int], dict[int, list[int]]]:
+    """Root the tree at leaf 1: (preorder, parent, children) over all vertices.
+
+    Children are ordered by the smallest leaf below them and the preorder
+    visits them in that order, so it meets the leaves in planar order.
+    Leaf 1 has parent 0.
+    """
+    parent = {1: 0}
+    order = [1]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    minleaf: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    for v in reversed(order):
+        kids = sorted((w for w in adj[v] if w != parent[v]), key=minleaf.__getitem__)
+        children[v] = kids
+        minleaf[v] = v if v <= n else minleaf[kids[0]]
+    preorder: list[int] = []
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        stack.extend(reversed(children[v]))
+    return preorder, parent, children
+
+
 def _canonical_form(
     n: int, edges: Iterable[tuple[int, int]]
 ) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
@@ -80,35 +119,10 @@ def _canonical_form(
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
     edges = tuple(edges)
-    adj = _build_adjacency(n, edges)
-    # Post-order pass rooted at leaf 1: smallest leaf in each subtree.
-    minleaf: dict[int, int] = {}
-    order: list[tuple[int, int]] = []  # (vertex, parent)
-    stack = [(1, 0)]
-    while stack:
-        v, parent = stack.pop()
-        order.append((v, parent))
-        for w in adj[v]:
-            if w != parent:
-                stack.append((w, v))
-    for v, parent in reversed(order):
-        if 1 <= v <= n:
-            minleaf[v] = v
-        else:
-            minleaf[v] = min(minleaf[w] for w in adj[v] if w != parent)
-    # Preorder renumbering, children visited smallest subtree leaf first.
+    preorder, _, _ = _root_at_leaf_1(n, _build_adjacency(n, edges))
     old2new = {i: i for i in range(1, n + 1)}
-    next_id = n + 1
-    walk: list[tuple[int, int]] = [(adj[1][0], 1)]
-    while walk:
-        v, parent = walk.pop()
-        if not (1 <= v <= n):
-            old2new[v] = next_id
-            next_id += 1
-        children = sorted(
-            (w for w in adj[v] if w != parent), key=lambda w: minleaf[w], reverse=True
-        )
-        walk.extend((w, v) for w in children)
+    internal = (v for v in preorder if v > n)
+    old2new.update((v, new) for new, v in enumerate(internal, start=n + 1))
     new_edges = sorted(tuple(sorted((old2new[u], old2new[v]))) for u, v in edges)
     return tuple(new_edges), old2new
 
@@ -123,6 +137,18 @@ class LabeledTree:
     def __post_init__(self) -> None:
         canonical, _ = _canonical_form(self.n, self.edges)
         object.__setattr__(self, "edges", canonical)
+
+    @classmethod
+    def _relabeled(
+        cls, n: int, edges: Iterable[tuple[int, int]]
+    ) -> tuple[LabeledTree, dict[int, int]]:
+        """The tree on these edges, canonicalized once, and the map from the
+        given vertex labels to the canonical ones."""
+        canonical, old2new = _canonical_form(n, edges)
+        t = cls.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "edges", canonical)
+        return t, old2new
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -144,81 +170,42 @@ class LabeledTree:
     def is_trivalent(self) -> bool:
         return all(len(self.adjacency[v]) == 3 for v in self.internal_vertices)
 
-    # Rooted view at leaf 1, children ordered by smallest leaf below.
     @cached_property
-    def _rooted(self) -> tuple[dict[int, int], dict[int, tuple[int, ...]], dict[int, int]]:
-        adj = self.adjacency
-        parent: dict[int, int] = {1: 0}
-        orderv: list[int] = []
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            orderv.append(v)
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    stack.append(w)
-        minleaf: dict[int, int] = {}
-        for v in reversed(orderv):
-            kids = [w for w in adj[v] if parent.get(w) == v]
-            minleaf[v] = v if v <= self.n else min(minleaf[w] for w in kids)
-        children = {
-            v: tuple(sorted((w for w in adj[v] if parent.get(w) == v), key=minleaf.get))
-            for v in orderv
-        }
-        return parent, children, minleaf
+    def _rooted(
+        self,
+    ) -> tuple[dict[int, int], dict[int, list[int]], dict[int, tuple[int, int]]]:
+        """The walk from leaf 1: parent and children (smallest leaf below
+        first) of every vertex, and its span (lo, hi), the positions in
+        planar_leaf_order of the leaves below it.  Leaf 1 spans all of them."""
+        preorder, parent, children = _root_at_leaf_1(self.n, self.adjacency)
+        lo: dict[int, int] = {}
+        seen = 0
+        for v in preorder:
+            lo[v] = seen
+            seen += v <= self.n
+        span: dict[int, tuple[int, int]] = {}
+        for v in reversed(preorder):
+            kids = children[v]
+            span[v] = (lo[v], span[kids[-1]][1] if kids else lo[v] + 1)
+        return parent, children, span
+
+    def _internal_edges_by_side(self) -> list[tuple[tuple[int, ...], int]]:
+        """(sorted leaves on the side of leaf 1, child vertex) per internal
+        edge, in edge_ids order."""
+        parent, _, span = self._rooted
+        planar = self.planar_leaf_order
+        return sorted(
+            (tuple(sorted(planar[:lo] + planar[hi:])), v)
+            for v, (lo, hi) in span.items()
+            if v > self.n and parent[v] != 1
+        )
 
     @cached_property
-    def _depth(self) -> dict[int, int]:
-        parent, children, _ = self._rooted
-        depth = {1: 0}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in children[v]:
-                depth[w] = depth[v] + 1
-                stack.append(w)
-        return depth
-
-    @cached_property
-    def _splits_below(self) -> dict[frozenset[int], frozenset[int]]:
-        """Per edge {u,v}: the leaves strictly below it (away from leaf 1)."""
-        parent, children, _ = self._rooted
-        below: dict[int, set[int]] = {}
-        orderv: list[int] = []
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            orderv.append(v)
-            stack.extend(children[v])
-        for v in reversed(orderv):
-            acc = {v} if v <= self.n else set()
-            for w in children[v]:
-                acc |= below[w]
-            below[v] = acc
-        out: dict[frozenset[int], frozenset[int]] = {}
-        for u, v in self.edges:
-            child = u if parent.get(u) == v else v
-            out[frozenset((u, v))] = frozenset(below[child])
-        # The edge at leaf 1 has leaf 1 above it; its below-side is everything else.
-        e1 = frozenset((1, self.adjacency[1][0]))
-        out[e1] = frozenset(range(2, self.n + 1))
-        return out
-
-    @cached_property
-    def _edge_ids(self) -> tuple[dict[frozenset[int], EdgeId], dict[EdgeId, frozenset[int]]]:
-        by_pair: dict[frozenset[int], EdgeId] = {}
-        for u, v in self.edges:
-            key = frozenset((u, v))
-            leaf = u if u <= self.n else (v if v <= self.n else None)
-            if leaf is not None:
-                eid = f"l{leaf}"
-            else:
-                side = sorted(self._splits_below[key])
-                eid = "e" + "-".join(str(x) for x in side)
-            by_pair[key] = eid
-        by_id = {eid: key for key, eid in by_pair.items()}
-        return by_pair, by_id
+    def _edge_child(self) -> tuple[int, ...]:
+        """Per edge, in edge_ids order: its child vertex."""
+        _, children, _ = self._rooted
+        internal = [v for _, v in self._internal_edges_by_side()]
+        return (children[1][0], *range(2, self.n + 1), *internal)
 
     @cached_property
     def edge_ids(self) -> tuple[EdgeId, ...]:
@@ -226,15 +213,13 @@ class LabeledTree:
 
         Internal edges sort by their side containing leaf 1, lexicographically.
         """
-        by_pair, _ = self._edge_ids
-        allleaves = set(self.leaves)
-        internal: list[tuple[tuple[int, ...], EdgeId]] = []
-        for key, eid in by_pair.items():
-            if eid.startswith("e"):
-                side1 = tuple(sorted(allleaves - self._splits_below[key]))
-                internal.append((side1, eid))
-        internal.sort()
-        return tuple([f"l{i}" for i in self.leaves] + [eid for _, eid in internal])
+        _, _, span = self._rooted
+        planar = self.planar_leaf_order
+        internal = [
+            "e" + "-".join(map(str, sorted(planar[slice(*span[v])])))
+            for v in self._edge_child[self.n :]
+        ]
+        return tuple([f"l{i}" for i in self.leaves] + internal)
 
     @cached_property
     def _edge_index(self) -> dict[EdgeId, int]:
@@ -244,27 +229,19 @@ class LabeledTree:
     @cached_property
     def _parent_edge(self) -> dict[int, int]:
         """Per vertex other than leaf 1: the edge_ids index of the edge to its parent."""
-        parent, _, _ = self._rooted
-        by_pair, _ = self._edge_ids
-        index = self._edge_index
-        return {v: index[by_pair[frozenset((v, u))]] for v, u in parent.items() if v != 1}
+        return {v: k for k, v in enumerate(self._edge_child)}
 
     def _walk_path(self, i: int, j: int) -> list[int]:
         """The edge_ids indices on the path between vertices i and j."""
-        parent, _, _ = self._rooted
-        depth = self._depth
+        parent, _, span = self._rooted
         up = self._parent_edge
-        a, b = i, j
         out: list[int] = []
-        while depth[a] > depth[b]:
-            out.append(up[a])
-            a = parent[a]
-        while depth[b] > depth[a]:
-            out.append(up[b])
-            b = parent[b]
-        while a != b:
-            out += (up[a], up[b])
-            a, b = parent[a], parent[b]
+        for a, b in ((i, j), (j, i)):
+            lo, hi = span[b]
+            # climb until a's span holds b's: then a lies above b or is b
+            while not (span[a][0] <= lo and hi <= span[a][1]):
+                out.append(up[a])
+                a = parent[a]
         return out
 
     @cached_property
@@ -309,34 +286,40 @@ class LabeledTree:
 
     @cached_property
     def internal_edge_ids(self) -> tuple[EdgeId, ...]:
-        return tuple(e for e in self.edge_ids if e.startswith("e"))
+        return self.edge_ids[self.n :]
 
     def edge_id_of(self, u: int, v: int) -> EdgeId:
-        by_pair, _ = self._edge_ids
-        try:
-            return by_pair[frozenset((u, v))]
-        except KeyError:
-            raise ValueError(f"({u}, {v}) is not an edge of this tree") from None
+        parent, _, _ = self._rooted
+        child, other = (u, v) if parent.get(u) == v else (v, u)
+        k = self._parent_edge.get(child)
+        if k is None or parent[child] != other:
+            raise ValueError(f"({u}, {v}) is not an edge of this tree")
+        return self.edge_ids[k]
 
-    def endpoints(self, eid: EdgeId) -> tuple[int, int]:
-        _, by_id = self._edge_ids
+    def _child(self, eid: EdgeId) -> int:
         try:
-            u, v = sorted(by_id[eid])
+            return self._edge_child[self._edge_index[eid]]
         except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
-        return u, v
+
+    def endpoints(self, eid: EdgeId) -> tuple[int, int]:
+        v = self._child(eid)
+        u = self._rooted[0][v]
+        return (u, v) if u < v else (v, u)
 
     def split(self, eid: EdgeId) -> tuple[frozenset[int], frozenset[int]]:
         """Leaf bipartition induced by removing the edge; side with leaf 1 first."""
-        u, v = self.endpoints(eid)
-        side = self._splits_below[frozenset((u, v))]
-        return frozenset(self.leaves) - side, side
+        lo, hi = self._rooted[2][self._child(eid)]
+        planar = self.planar_leaf_order
+        return frozenset(planar[:lo] + planar[hi:]), frozenset(planar[lo:hi])
 
     @cached_property
     def internal_splits(self) -> frozenset[frozenset[int]]:
         """Sides-away-from-leaf-1 of the internal edges; determines the tree."""
+        _, _, span = self._rooted
+        planar = self.planar_leaf_order
         return frozenset(
-            self._splits_below[frozenset(self.endpoints(e))] for e in self.internal_edge_ids
+            frozenset(planar[slice(*span[v])]) for v in self._edge_child[self.n :]
         )
 
     @cached_property
@@ -347,15 +330,11 @@ class LabeledTree:
         leaf paths that cross do so in any embedding, so it is the natural
         frame for crossing-free rewriting on this tree.
         """
-        parent, children, _ = self._rooted
-        out: list[int] = []
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            if v <= self.n:
-                out.append(v)
-            stack.extend(reversed(children[v]))
-        return tuple(out)
+        _, _, span = self._rooted
+        order = [0] * self.n
+        for i in self.leaves:
+            order[span[i][0]] = i
+        return tuple(order)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -401,11 +380,8 @@ def enumerate_trivalent(n: int) -> list[LabeledTree]:
                 grown.append(LabeledTree(k, tuple(edges)))
         trees = grown
 
-    def sort_key(t: LabeledTree) -> tuple[tuple[int, ...], ...]:
-        allleaves = frozenset(t.leaves)
-        return tuple(sorted(tuple(sorted(allleaves - s)) for s in t.internal_splits))
-
-    trees.sort(key=sort_key)
+    # the leaf-1 sides of the internal splits, sorted as edge_ids sorts them
+    trees.sort(key=lambda t: tuple(side for side, _ in t._internal_edges_by_side()))
     return trees
 
 
@@ -436,7 +412,7 @@ def tree_from_json_dict(obj: Mapping) -> LabeledTree:
     try:
         n = int(obj["n"])
         edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed tree object: {exc}") from exc
     return LabeledTree(n, edges)
 
@@ -457,33 +433,35 @@ def tree_from_json(text: str) -> LabeledTree:
 
 def tree_to_newick(t: LabeledTree, weights: Mapping[EdgeId, Fraction] | None = None) -> str:
     """Newick string rooted at the internal vertex next to leaf 1."""
-    _, _, minleaf = t._rooted
-    root = t.adjacency[1][0]
+    _, children, _ = t._rooted
+    up = t._parent_edge
+    root = children[1][0]
     out: list[str] = []
-    # items are text to emit or a (vertex, parent) subtree still to render
-    todo: list[str | tuple[int, int]] = []
+    # items are text to emit or a vertex whose subtree is still to render
+    todo: list[str | int] = []
 
-    def push_children(v: int, par: int, close: str) -> None:
-        kids = sorted((w for w in t.adjacency[v] if w != par), key=minleaf.get)
+    def push_children(kids: list[int], close: str) -> None:
         todo.append(close)
         for pos, w in enumerate(reversed(kids)):
             if pos:
                 todo.append(",")
-            todo.append((w, v))
+            todo.append(w)
         todo.append("(")
 
-    push_children(root, 0, ");")
+    push_children([1, *children[root]], ");")
     while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
+        v = todo.pop()
+        if isinstance(v, str):
+            out.append(v)
             continue
-        v, par = item
-        length = "" if weights is None else ":" + str(weights[t.edge_id_of(v, par)])
+        length = ""
+        if weights is not None:
+            # leaf 1 hangs off the root by the edge that the root is the child of
+            length = ":" + str(weights[t.edge_ids[up[root if v == 1 else v]]])
         if v <= t.n:
             out.append(str(v) + length)
         else:
-            push_children(v, par, ")" + length)
+            push_children(children[v], ")" + length)
     return "".join(out)
 
 
@@ -501,8 +479,8 @@ def tree_from_newick(text: str) -> tuple[LabeledTree, dict[EdgeId, Fraction] | N
         raise ValueError("Newick string must end with ';'")
     pos = 0
 
-    raw_edges: list[tuple[int, int]] = []
-    lengths: dict[frozenset[int], Fraction | None] = {}
+    # branch length per (parent, child) edge, in input order
+    lengths: dict[tuple[int, int], Fraction | None] = {}
     next_internal = 10**6
     leaves_seen: set[int] = set()
     open_nodes: list[int] = []  # internal nodes whose ')' is still to come
@@ -530,8 +508,7 @@ def tree_from_newick(text: str) -> tuple[LabeledTree, dict[EdgeId, Fraction] | N
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"bad branch length {tokens[pos][1:]!r}") from exc
                 pos += 1
-            raw_edges.append((me, node))
-            lengths[frozenset((me, node))] = length
+            lengths[(me, node)] = length
             if pos < len(tokens) and tokens[pos] == ",":
                 pos += 1
                 break
@@ -560,29 +537,17 @@ def tree_from_newick(text: str) -> tuple[LabeledTree, dict[EdgeId, Fraction] | N
         raise ValueError("either all branch lengths must be given or none")
     has_weights = bool(given)
 
-    # smooth a degree-2 root
-    degree: dict[int, int] = {}
-    for u, v in raw_edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    if degree.get(root, 0) == 2:
-        (a, b) = [w for (u, w) in [(u, v) if u == root else (v, u) for u, v in raw_edges] if u == root]
-        wa = lengths.pop(frozenset((root, a)))
-        wb = lengths.pop(frozenset((root, b)))
-        raw_edges = [e for e in raw_edges if root not in e]
-        raw_edges.append((a, b))
-        lengths[frozenset((a, b))] = (wa + wb) if has_weights else None
+    # smooth a degree-2 root; the root is never a child
+    at_root = [v for u, v in lengths if u == root]
+    if len(at_root) == 2:
+        a, b = at_root
+        wa, wb = lengths.pop((root, a)), lengths.pop((root, b))
+        lengths[(a, b)] = (wa + wb) if has_weights else None
 
-    canonical, old2new = _canonical_form(n, raw_edges)
-    t = LabeledTree(n, canonical)
+    t, old2new = LabeledTree._relabeled(n, lengths)
     if not has_weights:
         return t, None
-    weights: dict[EdgeId, Fraction] = {}
-    for key, w in lengths.items():
-        u, v = key
-        assert w is not None
-        weights[t.edge_id_of(old2new[u], old2new[v])] = w
-    return t, weights
+    return t, {t.edge_id_of(old2new[u], old2new[v]): w for (u, v), w in lengths.items()}
 
 
 def parse_edge_order(t: LabeledTree, text: str) -> tuple[EdgeId, ...]:

@@ -20,13 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .trees import (
-    EdgeId,
-    LabeledTree,
-    _canonical_form,
-    tree_from_json_dict,
-    tree_to_json_dict,
-)
+from .trees import EdgeId, LabeledTree, tree_from_json_dict, tree_to_json_dict
 
 Rational = Fraction
 
@@ -125,10 +119,19 @@ class DissimilarityVector:
                 i, j = key
                 if i == j:
                     raise ValueError(f"pair ({i}, {j}) has equal entries")
-                norm[(min(i, j), max(i, j))] = Fraction(str(v))
-            missing = [p for p in leaf_pairs(n) if p not in norm]
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise ValueError(f"pair ({i}, {j}) is not a leaf pair for n={n}")
+                pair = (min(i, j), max(i, j))
+                if pair in norm:
+                    raise ValueError(f"duplicate pair {pair}")
+                norm[pair] = Fraction(str(v))
+            # name at most 20: a large n with few entries lacks ~n^2/2 pairs
+            pairs = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+            missing = list(itertools.islice((p for p in pairs if p not in norm), 20))
             if missing:
-                raise ValueError(f"missing pairs: {missing}")
+                more = n * (n - 1) // 2 - len(norm) - len(missing)
+                tail = f" and {more} more" if more else ""
+                raise ValueError(f"missing pairs: {missing}{tail}")
             return cls(n, tuple(norm[p] for p in leaf_pairs(n)))
         return cls(n, tuple(Fraction(str(v)) for v in data))
 
@@ -206,7 +209,7 @@ class DissimilarityVector:
             raise ValueError("dissimilarity JSON key 'd' must hold an object of 'i,j' entries")
         try:
             n = int(obj["n"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"dissimilarity JSON key 'n' must be an integer, got {obj['n']!r}") from exc
         entries: dict[tuple[int, int], Fraction] = {}
         for key, v in obj["d"].items():
@@ -215,7 +218,10 @@ class DissimilarityVector:
                 i, j = int(i_s), int(j_s)
             except ValueError as exc:
                 raise ValueError(f"bad pair key {key!r}") from exc
-            entries[(min(i, j), max(i, j))] = parse_rational(v)
+            pair = (min(i, j), max(i, j))
+            if pair in entries:
+                raise ValueError(f"duplicate pair {pair}")
+            entries[pair] = parse_rational(v)
         return cls.of(n, entries)
 
 
@@ -373,16 +379,15 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
             return None
 
     edges = tuple((v, parent[v]) for v in range(2, fresh))
-    canonical, old2new = _canonical_form(n, edges)
-    tree = LabeledTree(n, canonical)
-    by_pair, _ = tree._edge_ids
+    tree, old2new = LabeledTree._relabeled(n, edges)
+    up = tree._parent_edge
     values = [Fraction(0)] * len(tree.edge_ids)
     for v, u in edges:
         length = pos[v] - pos[u]
         if v <= n or u == 1:  # a leaf edge: take the shift back off
             length -= m
-        eid = by_pair[frozenset((old2new[v], old2new[u]))]
-        values[tree._edge_index[eid]] = Fraction(length, 2 * den)
+        # v lies away from leaf 1 here, so it is the edge's child in the tree too
+        values[up[old2new[v]]] = Fraction(length, 2 * den)
     return EdgeWeighting(tree, tuple(values))
 
 

@@ -195,12 +195,16 @@ def quasi_valuation_weight(w: DissimilarityVector, f: PlueckerPolynomial) -> Fra
     weight is computed on the reconstructed tree, where it is an honest
     valuation rather than a quasi-valuation.
     """
-    ok, witnesses = is_tropical_point(w)
-    if not ok:
-        bad = witnesses[0]
+    # reconstruction certifies membership by its round trip, so only a
+    # failure pays for the four-point scan that names the witness
+    try:
+        _, r = reconstruct_tree(w)
+    except ValueError:
+        ok, witnesses = is_tropical_point(w)
+        if ok:
+            raise
         raise ValueError(
-            f"weight vector is not a tropical point ({bad.describe()}); "
+            f"weight vector is not a tropical point ({witnesses[0].describe()}); "
             "weights outside the tropical variety are not supported"
-        )
-    _, r = reconstruct_tree(w)
+        ) from None
     return tropical_weight(r, f)

@@ -4,11 +4,14 @@ Each oracle recomputes a quantity through a route the library does not
 use: Laurent character arithmetic for invariant dimensions, the hook
 content formula for graded dimensions, degree-constrained multigraph
 enumeration for semigroup membership, minor evaluation for polynomial
-identities, and plain exhaustive enumeration for graded counts.
+identities, plain exhaustive enumeration for graded counts, and a
+breadth-first search on the edge list for the leaves on each side of an
+edge.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +33,28 @@ def character_invariant_dim(vals: tuple[int, ...]) -> int:
                 nxt[e + k] = nxt.get(e + k, 0) + c
         poly = nxt
     return poly.get(0, 0) - poly.get(2, 0)
+
+
+def side_away_from_leaf_1(t: LabeledTree, u: int, v: int) -> frozenset[int]:
+    """The leaves cut off from leaf 1 when the edge {u, v} is removed.
+
+    A breadth-first search from leaf 1 over t.edges that never crosses the
+    removed edge; the leaves it does not reach are the answer.
+    """
+    nbrs: dict[int, list[int]] = {}
+    for a, b in t.edges:
+        if {a, b} != {u, v}:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+    reached = {1}
+    queue = deque([1])
+    while queue:
+        x = queue.popleft()
+        for y in nbrs.get(x, ()):
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return frozenset(i for i in range(1, t.n + 1) if i not in reached)
 
 
 def hook_content_dim(n: int, d: int) -> int:

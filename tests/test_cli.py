@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ ONES_WEIGHTING = json.dumps(
     }
 )
 TROPICAL_TSV = "i\tj\td_ij\n1\t2\t2\n1\t3\t3\n1\t4\t3\n2\t3\t3\n2\t4\t3\n3\t4\t2\n"
+TROPICAL_JSON = '{"n":4,"d":{"1,2":"2","1,3":"3","1,4":"3","2,3":"3","2,4":"3","3,4":"2"}}'
 
 
 def run(capsys, *argv):
@@ -58,6 +60,15 @@ def test_trees_enumerate_bad_n(capsys):
     assert err.startswith("error:")
 
 
+def test_trees_enumerate_refuses_to_list_large_n(capsys):
+    for n, count in ((10, 2027025), (12, 654729075)):
+        code, out, err = run(capsys, "trees", "enumerate", "--n", str(n))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{count} trees" in err and "--count" in err
+        code, out, _ = run(capsys, "trees", "enumerate", "--n", str(n), "--count")
+        assert code == 0 and out == f"{count}\n"
+
+
 def test_trop_dissim_tsv(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(ONES_WEIGHTING)
@@ -95,8 +106,7 @@ def test_trop_check_no(capsys, monkeypatch):
 
 
 def test_trop_check_json_autodetect(capsys, monkeypatch):
-    vec = '{"n":4,"d":{"1,2":"2","1,3":"3","1,4":"3","2,3":"3","2,4":"3","3,4":"2"}}'
-    monkeypatch.setattr("sys.stdin", io.StringIO(vec))
+    monkeypatch.setattr("sys.stdin", io.StringIO(TROPICAL_JSON))
     code, out, _ = run(capsys, "trop", "check", "--input", "-")
     assert code == 0
     assert out.splitlines()[0] == "tropical: yes"
@@ -201,8 +211,18 @@ def test_malformed_json_input(capsys, monkeypatch):
         (("trop", "dissim"), "[1,2]"),
         (("trop", "dissim"), '{"tree":[1,2],"weights":{}}'),
         (("trop", "dissim"), '{"tree":{"n":3,"edges":[[1,4],[2,4],[3,4]]},"weights":[1]}'),
+        (("trop", "check"), TROPICAL_JSON[:-2] + ',"7,9":5,"0,1":3}}'),
+        (("trop", "reconstruct"), TROPICAL_JSON[:-2] + ',"2,1":"2"}}'),
+        (("trop", "check"), TROPICAL_TSV + "0 2 9\n"),
+        (("trop", "reconstruct"), TROPICAL_TSV + "0 2 9\n"),
+        (("trop", "check"), '{"n":1e999,"d":{}}'),
+        (("trop", "dissim"), '{"tree":{"n":3,"edges":[[1,4],[2,4],[3,1e999]]},"weights":{}}'),
     ],
-    ids=["check-d-list", "reconstruct-d-list", "dissim-list", "dissim-tree-list", "dissim-weights-list"],
+    ids=[
+        "check-d-list", "reconstruct-d-list", "dissim-list", "dissim-tree-list",
+        "dissim-weights-list", "check-pairs-out-of-range", "reconstruct-duplicate-pair",
+        "check-tsv-leaf-0", "reconstruct-tsv-leaf-0", "check-n-overflow", "dissim-vertex-overflow",
+    ],
 )
 def test_wrong_shape_json_exits_2(capsys, monkeypatch, argv, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -235,3 +255,42 @@ def test_round_trip_tree_json():
     t = trees_cached(4)[0]
     assert tree_to_json(t) == SIGMA1_JSON
     assert tree_from_json(SIGMA1_JSON) == t
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(capsys, monkeypatch):
+    # 1-4 character edits of valid inputs, fixed seed: every run must end
+    # in 0, 1 or 2 without an exception escaping main
+    cases = [
+        (("trop", "dissim", "--input", "-"), ONES_WEIGHTING),
+        (("trop", "check", "--input", "-"), TROPICAL_TSV),
+        (("trop", "check", "--input", "-"), TROPICAL_JSON),
+        (("trop", "reconstruct", "--input", "-"), TROPICAL_TSV),
+        (("trop", "reconstruct", "--input", "-"), TROPICAL_JSON),
+        (("val", "matrix", "--tree", "-"), SIGMA1_JSON),
+    ]
+    alphabet = '0123456789-/.,:;{}[]"e \t\n'
+    rng = random.Random(5)
+    codes = set()
+    for k in range(1500):
+        argv, text = cases[k % len(cases)]
+        chars = list(text)
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 or not chars:
+                chars.insert(pos, rng.choice(alphabet))
+            elif op == 1:
+                del chars[min(pos, len(chars) - 1)]
+            else:
+                chars[min(pos, len(chars) - 1)] = rng.choice(alphabet)
+        mutated = "".join(chars)
+        monkeypatch.setattr("sys.stdin", io.StringIO(mutated))
+        try:
+            code = main(list(argv))
+        except Exception as exc:
+            pytest.fail(f"{' '.join(argv)} on {mutated!r} raised {exc!r}")
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, mutated, code)
+        assert (code == 2) == err.startswith("error:"), (argv, mutated, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from grasstrop import (
     tree_to_json,
     tree_to_newick,
 )
-from util import caterpillar
+from oracles import side_away_from_leaf_1
+from util import caterpillar, grown_tree
 
 
 def sigma(k):
@@ -139,20 +141,73 @@ def test_leaf_path_symmetric_difference():
             assert leaf_path(t, i, j) ^ leaf_path(t, j, k) == leaf_path(t, i, k)
 
 
+def _oracle_tables(t):
+    """Per-edge names and sides, edge_ids, planar order and stars, from BFS splits alone."""
+    away = {(u, v): side_away_from_leaf_1(t, u, v) for u, v in t.edges}  # u < v
+    leaves = frozenset(t.leaves)
+    name = {
+        (u, v): f"l{u}" if u <= t.n else "e" + "-".join(map(str, sorted(side)))
+        for (u, v), side in away.items()
+    }
+    internal = sorted((e for e in away if e[0] > t.n), key=lambda e: sorted(leaves - away[e]))
+    ids = tuple([f"l{i}" for i in t.leaves] + [name[e] for e in internal])
+
+    def side(x, y):
+        return away[(x, y) if x < y else (y, x)]
+
+    planar = []
+    stack = [(1, 0)]
+    while stack:
+        x, p = stack.pop()
+        if x <= t.n:
+            planar.append(x)
+        kids = sorted((y for y in t.adjacency[x] if y != p), key=lambda y: min(side(x, y)))
+        stack.extend((y, x) for y in reversed(kids))
+    stars = tuple(
+        tuple(ids.index(name[(v, u) if v < u else (u, v)]) for u in t.adjacency[v])
+        for v in t.internal_vertices
+    )
+    return name, away, ids, tuple(planar), stars
+
+
 def test_index_tables_match_edge_ids():
+    rng = random.Random(7)
     star = LabeledTree(5, [(i, 6) for i in range(1, 6)])
-    for t in [star, *enumerate_trivalent(5), *enumerate_trivalent(6)[::9]]:
-        ids, index = t.edge_ids, t._edge_index
-        assert t._stars == tuple(
-            tuple(index[t.edge_id_of(v, u)] for u in t.adjacency[v])
-            for v in t.internal_vertices
-        )
+    trees = [star, *enumerate_trivalent(5), *enumerate_trivalent(6)[::9]]
+    for n in range(3, 15):
+        t = grown_tree(rng, n)
+        trees.append(t)
+        for _ in range(rng.randint(1, max(1, n - 3))):  # partly contracted
+            if t.internal_edge_ids:
+                t = contract_edge(t, rng.choice(t.internal_edge_ids))
+                trees.append(t)
+    for t in trees:
+        name, away, ids, planar, stars = _oracle_tables(t)
+        assert t.edge_ids == ids
+        assert t.planar_leaf_order == planar
+        assert t._stars == stars
+        assert t.internal_splits == frozenset(s for (u, _), s in away.items() if u > t.n)
+        leaves = frozenset(t.leaves)
+        for (u, v), side in away.items():
+            eid = name[(u, v)]
+            assert t.edge_id_of(u, v) == t.edge_id_of(v, u) == eid
+            assert t.endpoints(eid) == (u, v)
+            assert t.split(eid) == (leaves - side, side)
+        for i, j in itertools.combinations(t.leaves, 2):
+            cut = {name[e] for e, side in away.items() if (i in side) != (j in side)}
+            assert leaf_path(t, i, j) == cut
+        with pytest.raises(ValueError):
+            t.edge_id_of(1, 2)
         pairs = [((1, 2), 2), ((2, t.n), 1), ((1, t.n), 3)]
         expect = [0] * len(ids)
         for (i, j), mult in pairs:
             for eid in leaf_path(t, i, j):
-                expect[index[eid]] += mult
+                expect[t._edge_index[eid]] += mult
         assert t._edge_counts(pairs) == expect
+    big = caterpillar(1500)
+    for u, v in big.edges[::300]:
+        side = side_away_from_leaf_1(big, u, v)
+        assert big.split(big.edge_id_of(u, v)) == (frozenset(big.leaves) - side, side)
 
 
 def test_planar_leaf_order():

@@ -282,3 +282,18 @@ def test_vector_of_validation():
         DissimilarityVector.of(4, {(1, 2): Fraction(1)})
     with pytest.raises(ValueError):
         vec4(1, 2, 3, 4, 5, 6).value(1, 5)
+    full = dict(zip([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], range(6)))
+    for extra in ((7, 9), (0, 1), (2, 5), (2, 1)):
+        with pytest.raises(ValueError, match="not a leaf pair|duplicate pair"):
+            DissimilarityVector.of(4, {**full, extra: 5})
+    text = vec4(2, 3, 3, 3, 3, 2).to_json()
+    for extra in ('"7,9":"5"', '"0,1":"3"', '"2,1":"5"', '"1, 2":"5"'):
+        with pytest.raises(ValueError, match="not a leaf pair|duplicate pair"):
+            DissimilarityVector.from_json(text[:-2] + "," + extra + "}}")
+    with pytest.raises(ValueError, match="not a leaf pair"):
+        DissimilarityVector.from_tsv(vec4(2, 3, 3, 3, 3, 2).to_tsv() + "0 2 9\n")
+    # a large n with few entries names 20 missing pairs and counts the rest
+    with pytest.raises(ValueError, match=r"\(1, 22\)\] and 24496479 more$"):
+        DissimilarityVector.from_json('{"n":7000,"d":{"1,2":"1"}}')
+    with pytest.raises(ValueError, match="must be an integer"):
+        DissimilarityVector.from_json('{"n":1e999,"d":{}}')
