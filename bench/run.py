@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Time grasstrop's baseline stress cases and write BENCH_<label>.json.
+
+Run from anywhere; the library is imported from the `src` directory next
+to this script:
+
+    python3 bench/run.py --label after
+
+writes BENCH_after.json at the repository root.  Each case builds its
+input afresh (untimed), then times one library call with
+`time.perf_counter`, five times; the file records every run and the
+median, together with the Python version, the commit
+and a check of each result, so that a wrong answer cannot pass as a
+fast one.  The cases are the stress cases of ROADMAP.md's baseline:
+
+- `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
+  tree with 6 leaves, degrees 1..4;
+- `hilbert-caterpillar8-d3`: the same on the 8-leaf caterpillar,
+  degrees 1..3;
+- `enumerate-n8`: `enumerate_trivalent(8)`, all 10395 trees;
+- `straighten-d12`: `straighten` of (p15 p26 p37 p48)^3, 364 terms.
+
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from math import comb
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import grasstrop as gt  # noqa: E402
+
+
+def _caterpillar(n: int) -> gt.LabeledTree:
+    """Internal vertices on one path, leaves 1 and 2 at one end."""
+    edges = [(1, n + 1), (2, n + 1), (n - 1, 2 * n - 2), (n, 2 * n - 2)]
+    edges += [(k, n + k - 1) for k in range(3, n - 1)]
+    edges += [(v, v + 1) for v in range(n + 1, 2 * n - 2)]
+    return gt.LabeledTree(n, tuple(edges))
+
+
+REPEATS = 5
+
+
+def _hilbert(make_tree, n: int, d: int):
+    n_vars = comb(n, 2)
+
+    def run(t):
+        return gt.initial_ideal_hilbert_check(t, d, max_monomials=comb(n_vars + d - 1, d))
+
+    def check(rep):
+        return rep.passed and [row.d for row in rep.degrees] == list(range(1, d + 1))
+
+    return make_tree, run, check
+
+
+def _straighten_setup():
+    f = gt.p(1, 5) * gt.p(2, 6) * gt.p(3, 7) * gt.p(4, 8)
+    return f * f * f
+
+
+CASES = {
+    "hilbert-n6-d4": _hilbert(lambda: gt.enumerate_trivalent(6)[0], 6, 4),
+    "hilbert-caterpillar8-d3": _hilbert(lambda: _caterpillar(8), 8, 3),
+    "enumerate-n8": (lambda: 8, gt.enumerate_trivalent, lambda trees: len(trees) == 10395),
+    "straighten-d12": (_straighten_setup, gt.straighten, lambda g: len(g.terms) == 364),
+}
+
+
+def _commit() -> tuple[str, bool | None]:
+    """HEAD's hash and whether the tree has changes, or ("unknown", None)."""
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown", None
+    return head, bool(status.strip())
+
+
+def measure() -> dict:
+    cases = {}
+    for name, (setup, run, check) in CASES.items():
+        runs = []
+        ok = True
+        for _ in range(REPEATS):
+            arg = setup()
+            start = time.perf_counter()
+            result = run(arg)
+            runs.append(time.perf_counter() - start)
+            ok = ok and bool(check(result))
+        cases[name] = {"median_s": statistics.median(runs), "runs_s": runs, "correct": ok}
+        print(f"{name}\t{cases[name]['median_s']:.4f} s\t{'ok' if ok else 'WRONG'}", flush=True)
+    return cases
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    args = ap.parse_args(argv)
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
+        ap.error("--label may hold only letters, digits, '.', '_' and '-'")
+    commit, dirty = _commit()
+    out = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "commit": commit,
+        "dirty": dirty,
+        "repeats": REPEATS,
+        "cases": measure(),
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0 if all(case["correct"] for case in out["cases"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

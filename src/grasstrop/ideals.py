@@ -9,6 +9,14 @@ variety whose coordinate ring is graded by Pluecker degree.  The
 dimension check below confirms, degree by degree, that this quotient
 matches the count of semigroup weightings of the tree.
 
+The check needs no elimination.  Every generator is a binomial with
+coefficients +-1, so in degree d the generators times the monomials of
+degree d-2 form the incidence matrix of a signed graph on the degree-d
+monomials.  Its rank, the dimension of the ideal in degree d, is the
+number of monomials minus the number of balanced components, those
+whose cycles all carry sign +1 (Eisenbud-Sturmfels, "Binomial ideals",
+1996).
+
 A sign caveat: the two surviving terms of a three-term relation carry
 opposite signs exactly when the quartet's split in the tree avoids the
 middle pairing {ik, jl} (labels sorted i < j < k < l).  For trees that
@@ -18,7 +26,8 @@ monomial map.  For the remaining quartets the binomial is a sum of two
 monomials with the same image and lands in the kernel only after
 flipping the sign of one variable per inverted pair of the planar leaf
 order.  Sign flips are coordinate changes, so the graded dimension
-comparison is unaffected either way.
+comparison is unaffected either way: in the signed graph a flip negates
+some columns, which changes no cycle's sign.
 """
 
 from __future__ import annotations
@@ -26,18 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
-from .linalg import exact_rank
-from .plucker import (
-    Pair,
-    PlueckerMonomial,
-    PlueckerPolynomial,
-    three_term_relation,
-)
+from .plucker import PlueckerMonomial, PlueckerPolynomial
 from .semigroup import graded_count
 from .trees import EdgeId, LabeledTree
 from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
@@ -194,17 +196,102 @@ class HilbertReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _degree_basis(n: int, d: int) -> list[PlueckerMonomial]:
-    """All degree-d monomials in the variables p[i,j], 1 <= i < j <= n."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    basis = []
-    for combo in combinations(range(len(pairs) + d - 1), d):
-        exps: dict[Pair, int] = {}
-        for k, c in enumerate(combo):
-            idx = c - k
-            exps[pairs[idx]] = exps.get(pairs[idx], 0) + 1
-        basis.append(PlueckerMonomial.of(exps))
-    return basis
+def signed_incidence_rank(rows: Iterable[Mapping[Hashable, int]]) -> int:
+    """Rank over the rationals of a matrix whose rows are two entries of +-1.
+
+    Such a matrix is the incidence matrix of a signed graph on its
+    columns: the row a*e_u + b*e_v joins u and v with parity 0 when
+    a*b < 0 and parity 1 otherwise.  A kernel vector x has x_v = x_u
+    across a parity-0 edge and x_v = -x_u across a parity-1 edge, so a
+    connected component carries one kernel dimension when it is
+    balanced (every cycle has even parity) and none otherwise.  Hence
+    the rank is the number of columns minus the number of balanced
+    components, where a column met by no row is a balanced component of
+    its own and adds nothing.  A union-find keeps each vertex's parity
+    relative to its root.  Raises RuntimeError on any other row shape.
+    """
+    parent: dict[Hashable, Hashable] = {}
+    parity: dict[Hashable, int] = {}  # parity of a vertex relative to its parent
+    unbalanced: set[Hashable] = set()  # roots of components with an odd cycle
+
+    def find(u: Hashable) -> tuple[Hashable, int]:
+        if u not in parent:
+            parent[u] = u
+            parity[u] = 0
+            return u, 0
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        acc = 0
+        for v in reversed(path):
+            acc ^= parity[v]
+            parity[v] = acc
+            parent[v] = u
+        return u, parity[path[0]] if path else 0
+
+    components = 0
+    for row in rows:
+        if len(row) != 2:
+            raise RuntimeError(f"row {dict(row)!r} does not have two entries")
+        (u, a), (v, b) = row.items()
+        if a not in (1, -1) or b not in (1, -1):
+            raise RuntimeError(f"row {dict(row)!r} has an entry other than +-1")
+        components += (u not in parent) + (v not in parent)
+        ru, pu = find(u)
+        rv, pv = find(v)
+        edge = 0 if a * b < 0 else 1
+        if ru == rv:
+            if pu ^ pv != edge:
+                unbalanced.add(ru)
+            continue
+        parent[rv] = ru
+        parity[rv] = pu ^ pv ^ edge
+        components -= 1
+        if rv in unbalanced:
+            unbalanced.discard(rv)
+            unbalanced.add(ru)
+    return len(parent) - (components - len(unbalanced))
+
+
+_Binomial = tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]
+
+
+def _toric_generators(t: LabeledTree) -> list[_Binomial]:
+    """The initial binomials of the three-term relations of t.
+
+    This is `initial_form(three_term_relation(i, j, k, l), d)` for the
+    dissimilarity vector d of `internal_indicator(t)`, on integers.
+    Each binomial is a pair of (monomial, coefficient) terms, a monomial
+    written as the sorted tuple of its variable indices with repetition,
+    where p[i,j] has index k in the lexicographic order of the pairs.
+    """
+    n = t.n
+    index = {p: k for k, p in enumerate(combinations(range(1, n + 1), 2))}
+    # the entries of d are integers, in the same lexicographic pair order
+    w = [int(v) for v in dissimilarity(internal_indicator(t)).values]
+    gens: list[_Binomial] = []
+    for quad in combinations(range(1, n + 1), 4):
+        i, j, k, l = quad
+        # p_ij p_kl - p_ik p_jl + p_il p_jk, each product already sorted
+        terms = (
+            ((index[i, j], index[k, l]), 1),
+            ((index[i, k], index[j, l]), -1),
+            ((index[i, l], index[j, k]), 1),
+        )
+        top = max(w[a] + w[b] for (a, b), _ in terms)
+        kept = tuple(term for term in terms if w[term[0][0]] + w[term[0][1]] == top)
+        if len(kept) != 2:
+            raise RuntimeError(f"quartet {quad} did not degenerate to a binomial")
+        gens.append(kept)
+    return gens
+
+
+def _degree_rows(gens: list[_Binomial], n_vars: int, d: int) -> Iterator[dict[tuple[int, ...], int]]:
+    """The rows shift * g spanning the degree-d part of the ideal, d >= 2."""
+    for shift in combinations_with_replacement(range(n_vars), d - 2):
+        for (a, ca), (b, cb) in gens:
+            yield {tuple(sorted(a + shift)): ca, tuple(sorted(b + shift)): cb}
 
 
 def initial_ideal_hilbert_check(
@@ -214,11 +301,14 @@ def initial_ideal_hilbert_check(
 
     The generators are the initial forms of the three-term relations of
     all quadruples, taken with respect to the dissimilarity vector of
-    the internal-edge indicator weighting.  For each degree d up to
-    d_max, the span of the generators times degree-(d-2) monomials is
-    row-reduced exactly, and the codimension of the span inside the full
-    degree-d monomial space is compared with the number of semigroup
-    weightings of Pluecker degree d.
+    the internal-edge indicator weighting.  Each is a binomial with
+    coefficients +-1, so for each degree d up to d_max the products of
+    the generators with degree-(d-2) monomials form the incidence matrix
+    of a signed graph on the degree-d monomials, and the dimension of
+    their span is the number of monomials minus the number of balanced
+    components (`signed_incidence_rank`).  The codimension of the span
+    inside the full degree-d monomial space is compared with the number
+    of semigroup weightings of Pluecker degree d.
     """
     if not t.is_trivalent:
         raise ValueError("initial ideal check requires a trivalent tree")
@@ -226,13 +316,7 @@ def initial_ideal_hilbert_check(
         raise ValueError("d_max must be at least 1")
     n = t.n
     n_vars = n * (n - 1) // 2
-    dvec = dissimilarity(internal_indicator(t))
-    gens: list[PlueckerPolynomial] = []
-    for quad in combinations(range(1, n + 1), 4):
-        g = initial_form(three_term_relation(*quad), dvec)
-        if len(g.terms) != 2:
-            raise RuntimeError(f"quartet {quad} did not degenerate to a binomial")
-        gens.append(g)
+    gens = _toric_generators(t)
     checks = []
     for d in range(1, d_max + 1):
         count = comb(n_vars + d - 1, d)
@@ -241,18 +325,7 @@ def initial_ideal_hilbert_check(
                 f"degree {d} has {count} monomials for n={n}, "
                 f"above the limit of {max_monomials}"
             )
-        basis = _degree_basis(n, d)
-        index = {m: k for k, m in enumerate(basis)}
-        rows: list[dict[int, int]] = []
-        if d >= 2:
-            for g in gens:
-                for shift in _degree_basis(n, d - 2):
-                    row: dict[int, int] = {}
-                    for m, c in g.terms:
-                        k = index[m * shift]
-                        row[k] = row.get(k, 0) + int(c)
-                    rows.append(row)
-        rank = exact_rank(rows)
+        rank = signed_incidence_rank(_degree_rows(gens, n_vars, d)) if d >= 2 else 0
         checks.append(
             DegreeCheck(
                 d=d,

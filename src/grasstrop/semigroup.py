@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .trees import EdgeId, LabeledTree, tree_from_json_dict, tree_to_json_dict
+from .trees import EdgeId, LabeledTree, _json_integer, tree_from_json_dict, tree_to_json_dict
 
 
 def _first_violation(
@@ -119,7 +119,9 @@ class SigmaWeight:
             raw = obj["s"]
         except KeyError as exc:
             raise ValueError(f"weight JSON needs key {exc}") from exc
-        return cls.of(tree, {str(k): int(v) for k, v in raw.items()})
+        if not isinstance(raw, dict):
+            raise ValueError("weight JSON key 's' must hold an object")
+        return cls.of(tree, {str(k): _json_integer(v, f"weight of {k}") for k, v in raw.items()})
 
 
 def invariant_dim(t: LabeledTree, s: SigmaWeight) -> int:

@@ -408,11 +408,20 @@ def tree_to_json_dict(t: LabeledTree) -> dict:
     return {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
 
 
+def _json_integer(value: object, what: str) -> int:
+    """A JSON integer as read by `json.loads`; floats and booleans are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def tree_from_json_dict(obj: Mapping) -> LabeledTree:
     try:
-        n = int(obj["n"])
-        edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = _json_integer(obj["n"], "'n'")
+        edges = tuple(
+            (_json_integer(u, "an edge end"), _json_integer(v, "an edge end")) for u, v in obj["edges"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tree object: {exc}") from exc
     return LabeledTree(n, edges)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .trees import EdgeId, LabeledTree, tree_from_json_dict, tree_to_json_dict
+from .trees import EdgeId, LabeledTree, _json_integer, tree_from_json_dict, tree_to_json_dict
 
 Rational = Fraction
 
@@ -207,10 +207,7 @@ class DissimilarityVector:
             raise ValueError("dissimilarity JSON must be an object with keys 'n' and 'd'")
         if not isinstance(obj["d"], dict):
             raise ValueError("dissimilarity JSON key 'd' must hold an object of 'i,j' entries")
-        try:
-            n = int(obj["n"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"dissimilarity JSON key 'n' must be an integer, got {obj['n']!r}") from exc
+        n = _json_integer(obj["n"], "dissimilarity JSON key 'n'")
         entries: dict[tuple[int, int], Fraction] = {}
         for key, v in obj["d"].items():
             try:
@@ -391,13 +388,23 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
     return EdgeWeighting(tree, tuple(values))
 
 
+class NotTropicalError(ValueError):
+    """A vector fails the four-point condition at quartet `witness`."""
+
+    def __init__(self, witness: QuartetWitness) -> None:
+        super().__init__(
+            f"not a tropical point: quadruple {witness.quad} has a unique maximum ({witness.describe()})"
+        )
+        self.witness = witness
+
+
 def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting]:
     """Recover the minimal tree and edge weighting realizing a tropical point.
 
     Internal edges of the result have strictly positive weight; boundary
     points therefore come back on partially contracted (non-trivalent)
-    trees.  Raises ValueError with the first violating quadruple if d
-    fails the four-point condition.
+    trees.  Raises NotTropicalError, a ValueError carrying the first
+    violating quadruple, if d fails the four-point condition.
     """
     if d.n < 3:
         raise ValueError(f"reconstruction needs at least 3 leaves, got n={d.n}")
@@ -409,10 +416,7 @@ def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting
     ok, witnesses = is_tropical_point(d)
     if ok:
         raise RuntimeError("leaf insertion failed on a vector that satisfies the four-point condition")
-    w = witnesses[0]
-    raise ValueError(
-        f"not a tropical point: quadruple {w.quad} has a unique maximum ({w.describe()})"
-    )
+    raise NotTropicalError(witnesses[0])
 
 
 def cone_of(d: DissimilarityVector) -> LabeledTree:

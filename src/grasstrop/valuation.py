@@ -29,7 +29,7 @@ from .trees import EdgeId, LabeledTree
 from .tropical import (
     DissimilarityVector,
     EdgeWeighting,
-    is_tropical_point,
+    NotTropicalError,
     leaf_pairs,
     reconstruct_tree,
 )
@@ -195,16 +195,11 @@ def quasi_valuation_weight(w: DissimilarityVector, f: PlueckerPolynomial) -> Fra
     weight is computed on the reconstructed tree, where it is an honest
     valuation rather than a quasi-valuation.
     """
-    # reconstruction certifies membership by its round trip, so only a
-    # failure pays for the four-point scan that names the witness
     try:
         _, r = reconstruct_tree(w)
-    except ValueError:
-        ok, witnesses = is_tropical_point(w)
-        if ok:
-            raise
+    except NotTropicalError as exc:
         raise ValueError(
-            f"weight vector is not a tropical point ({witnesses[0].describe()}); "
+            f"weight vector is not a tropical point ({exc.witness.describe()}); "
             "weights outside the tropical variety are not supported"
         ) from None
     return tropical_weight(r, f)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -217,11 +218,18 @@ def test_malformed_json_input(capsys, monkeypatch):
         (("trop", "reconstruct"), TROPICAL_TSV + "0 2 9\n"),
         (("trop", "check"), '{"n":1e999,"d":{}}'),
         (("trop", "dissim"), '{"tree":{"n":3,"edges":[[1,4],[2,4],[3,1e999]]},"weights":{}}'),
+        (("trop", "check"), TROPICAL_JSON.replace('"n":4', '"n":4.5')),
+        (("trop", "reconstruct"), TROPICAL_JSON.replace('"n":4', '"n":4.0')),
+        (("trop", "check"), TROPICAL_JSON.replace('"n":4', '"n":true')),
+        (("trop", "dissim"), ONES_WEIGHTING.replace('"n": 4', '"n": 4.0')),
+        (("trop", "dissim"), ONES_WEIGHTING.replace("[1, 5]", "[true, 5]")),
     ],
     ids=[
         "check-d-list", "reconstruct-d-list", "dissim-list", "dissim-tree-list",
         "dissim-weights-list", "check-pairs-out-of-range", "reconstruct-duplicate-pair",
         "check-tsv-leaf-0", "reconstruct-tsv-leaf-0", "check-n-overflow", "dissim-vertex-overflow",
+        "check-n-float", "reconstruct-n-integral-float", "check-n-bool", "dissim-n-integral-float",
+        "dissim-vertex-bool",
     ],
 )
 def test_wrong_shape_json_exits_2(capsys, monkeypatch, argv, text):
@@ -229,6 +237,22 @@ def test_wrong_shape_json_exits_2(capsys, monkeypatch, argv, text):
     code, out, err = run(capsys, *argv, "--input", "-")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":4.9,"edges":[[1,5],[2,5],[3,6],[4.7,6],[5,6]]}',
+        SIGMA1_JSON.replace('"n":4', '"n":true'),
+        SIGMA1_JSON.replace("[5,6]", "[5,6.0]"),
+    ],
+    ids=["float-n-and-leaf", "bool-n", "integral-float-vertex"],
+)
+def test_val_matrix_refuses_non_integer_json(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "val", "matrix", "--tree", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must be an integer" in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -258,8 +282,9 @@ def test_round_trip_tree_json():
 
 
 def test_mutated_inputs_keep_the_exit_code_contract(capsys, monkeypatch):
-    # 1-4 character edits of valid inputs, fixed seed: every run must end
-    # in 0, 1 or 2 without an exception escaping main
+    # 1-4 edits of valid inputs (a character, or a number swapped for 4.9
+    # or true), fixed seed: every run must end in 0, 1 or 2 without an
+    # exception escaping main
     cases = [
         (("trop", "dissim", "--input", "-"), ONES_WEIGHTING),
         (("trop", "check", "--input", "-"), TROPICAL_TSV),
@@ -276,8 +301,13 @@ def test_mutated_inputs_keep_the_exit_code_contract(capsys, monkeypatch):
         chars = list(text)
         for _ in range(rng.randint(1, 4)):
             pos = rng.randrange(len(chars) + 1)
-            op = rng.randrange(3)
-            if op == 0 or not chars:
+            op = rng.randrange(4)
+            numbers = [m.span() for m in re.finditer(r"\d+", "".join(chars))]
+            if op == 3 and numbers:
+                # a non-integer number or a boolean where an integer stood
+                start, end = rng.choice(numbers)
+                chars[start:end] = rng.choice(("4.9", "true"))
+            elif op == 0 or not chars:
                 chars.insert(pos, rng.choice(alphabet))
             elif op == 1:
                 del chars[min(pos, len(chars) - 1)]

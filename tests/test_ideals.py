@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from grasstrop import (
     toric_kernel_membership,
     tropical_weight,
 )
+from grasstrop.ideals import _degree_rows, _toric_generators, signed_incidence_rank
 from util import random_tree, trees_cached
 
 
@@ -117,9 +122,11 @@ def test_toric_kernel_membership_examples():
 def test_crossing_binomial_membership_dichotomy():
     seen_middle = 0
     for n in (4, 5, 6):
+        index = {pr: k for k, pr in enumerate(combinations(range(1, n + 1), 2))}
         for t in trees_cached(n):
             dv = dissimilarity(internal_indicator(t))
-            for quad in combinations(range(1, n + 1), 4):
+            gens = _toric_generators(t)
+            for quad, gen in zip(combinations(range(1, n + 1), 4), gens, strict=True):
                 i, j, k, l = quad
                 sums = {
                     frozenset([(i, j), (k, l)]): dv.value(i, j) + dv.value(k, l),
@@ -131,6 +138,10 @@ def test_crossing_binomial_membership_dichotomy():
                 assert len(split) == 1, (n, quad)
                 g = initial_form(three_term_relation(*quad), dv)
                 assert len(g.terms) == 2, (n, quad)
+                # the integer generators of the Hilbert check are these binomials
+                assert gen == tuple(
+                    (tuple(index[pr] for pr in m.expanded()), int(c)) for m, c in g.terms
+                ), (n, quad)
                 kept = {frozenset(pr for pr, _ in m.exps) for m, _ in g.terms}
                 assert kept == set(sums) - set(split), (n, quad)
                 is_middle = split[0] == frozenset([(i, k), (j, l)])
@@ -228,3 +239,78 @@ def test_exact_rank_random_vs_float():
                     combo[j] = combo.get(j, 0) + c * v
             rows.append({j: v for j, v in combo.items() if v})
         assert exact_rank(rows) <= rank
+
+
+def _int_columns(rows):
+    cols = {}
+    return [{cols.setdefault(k, len(cols)): v for k, v in row.items()} for row in rows]
+
+
+def test_signed_incidence_rank_matches_exact_rank_on_hilbert_rows():
+    cases = [(t, 3) for n in (4, 5) for t in trees_cached(n)] + [(trees_cached(6)[4], 4)]
+    for t, d_max in cases:
+        n_vars = t.n * (t.n - 1) // 2
+        gens = _toric_generators(t)
+        for d in range(2, d_max + 1):
+            rows = list(_degree_rows(gens, n_vars, d))
+            assert signed_incidence_rank(rows) == exact_rank(_int_columns(rows)), (t, d)
+
+
+def test_signed_incidence_rank_hand_built_graphs():
+    cases = [
+        # balanced cycles: even number of same-sign rows around the triangle
+        ([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}], 2),
+        ([{0: 1, 1: 1}, {1: -1, 2: -1}, {0: 1, 2: -1}], 2),
+        # unbalanced cycles: an odd number of them
+        ([{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: -1}], 3),
+        ([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: -1, 0: -1}], 3),
+        # a repeated edge, with either overall sign, changes nothing
+        ([{0: 1, 1: -1}, {0: -1, 1: 1}, {1: 1, 0: -1}], 1),
+        # a repeated edge of the other parity is an unbalanced 2-cycle
+        ([{0: 1, 1: -1}, {0: 1, 1: 1}], 2),
+        # columns 2..9 met by no row are balanced singletons: rank 1 of 10
+        ([{0: 1, 1: -1}], 1),
+        # an unbalanced component joined to a balanced one, from either side
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}, {2: 1, 3: -1}, {1: 1, 2: 1}], 4),
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}, {2: 1, 3: -1}, {2: 1, 1: 1}], 4),
+        # two balanced components, then a path of four vertices
+        ([{0: 1, 1: 1}, {2: 1, 3: 1}], 2),
+        ([{0: 1, 1: 1}, {2: 1, 3: 1}, {1: -1, 2: 1}], 3),
+        ([], 0),
+    ]
+    for rows, rank in cases:
+        assert signed_incidence_rank(rows) == rank, rows
+        assert exact_rank(rows) == rank, rows
+
+
+def test_signed_incidence_rank_random_signed_graphs():
+    rng = random.Random(23)
+    for _ in range(300):
+        n_vertices = rng.randint(2, 9)
+        rows = []
+        for _ in range(rng.randint(0, 12)):
+            u, v = rng.sample(range(n_vertices), 2)
+            rows.append({u: rng.choice((1, -1)), v: rng.choice((1, -1))})
+        assert signed_incidence_rank(rows) == exact_rank(rows), rows
+
+
+def test_signed_incidence_rank_refuses_other_rows_in_optimized_mode():
+    # python -O strips assert statements; a row that is not a +-1 binomial
+    # must still raise RuntimeError
+    code = (
+        "from grasstrop.ideals import signed_incidence_rank\n"
+        "bad = [{}, {0: 1}, {0: 1, 1: 1, 2: -1}, {0: 2, 1: 1}, {0: 1, 1: 0}, {0: 1, 1: -3}]\n"
+        "for row in bad:\n"
+        "    try:\n"
+        "        signed_incidence_rank([{5: 1, 6: -1}, row])\n"
+        "    except RuntimeError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no RuntimeError on {row}')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, (flags, proc.stderr + proc.stdout)

@@ -254,6 +254,13 @@ def test_sigma_weight_validation_and_json():
         s_of(t, {"bogus": 1})
     s = s_of(t, {"l1": 2, "e3-4": 3})
     assert SigmaWeight.from_json_dict(s.to_json_dict()) == s
+    for bad in (2.0, 2.5, True):
+        obj = s.to_json_dict()
+        obj["s"]["l1"] = bad
+        with pytest.raises(ValueError, match="must be an integer"):
+            SigmaWeight.from_json_dict(obj)
+    with pytest.raises(ValueError, match="must hold an object"):
+        SigmaWeight.from_json_dict({**s.to_json_dict(), "s": [2, 0]})
     assert (s + s).value("e3-4") == 6
     assert s.scaled(3).value("l1") == 6
 

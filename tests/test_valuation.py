@@ -199,6 +199,36 @@ def test_quasi_valuation_weight():
         quasi_valuation_weight(d, PlueckerPolynomial.zero())
 
 
+def test_quasi_valuation_weight_scans_a_non_member_once(monkeypatch):
+    import grasstrop.tropical as tropical_mod
+    import grasstrop.valuation as valuation_mod
+
+    scan = tropical_mod.is_tropical_point
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return scan(d)
+
+    monkeypatch.setattr(tropical_mod, "is_tropical_point", counted)
+    monkeypatch.setattr(valuation_mod, "is_tropical_point", counted, raising=False)
+    rng = random.Random(59)
+    vals = dissimilarity(random_weighting(rng, random_tree(rng, 8))).as_dict()
+    # raise one chord of a maximal pairing of 1234: that pairing becomes the unique max
+    pairings = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+    top = max(pairings, key=lambda pr: vals[pr[0]] + vals[pr[1]])
+    vals[top[0]] += Fraction(1, 2)
+    bad = DissimilarityVector.of(8, vals)
+    with pytest.raises(ValueError) as err:
+        quasi_valuation_weight(bad, p(1, 2))
+    assert len(calls) == 1
+    _, (w,) = scan(bad)
+    assert str(err.value) == (
+        f"weight vector is not a tropical point ({w.describe()}); "
+        "weights outside the tropical variety are not supported"
+    )
+
+
 def test_value_vector_basics():
     t = sigma(1)
     vv = rank_valuation(t, t.edge_ids, p(1, 3))
