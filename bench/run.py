@@ -7,18 +7,25 @@ to this script:
     python3 bench/run.py --label after
 
 writes BENCH_after.json at the repository root.  Each case builds its
-input afresh (untimed), then times one library call with
+input afresh (untimed), then times its library calls with
 `time.perf_counter`, five times; the file records every run and the
 median, together with the Python version, the commit
 and a check of each result, so that a wrong answer cannot pass as a
-fast one.  The cases are the stress cases of ROADMAP.md's baseline:
+fast one.  The cases are the stress cases of ROADMAP.md's baseline
+and two valuation cases:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4;
 - `hilbert-caterpillar8-d3`: the same on the 8-leaf caterpillar,
   degrees 1..3;
 - `enumerate-n8`: `enumerate_trivalent(8)`, all 10395 trees;
-- `straighten-d12`: `straighten` of (p15 p26 p37 p48)^3, 364 terms.
+- `straighten-d12`: `straighten` of (p15 p26 p37 p48)^3, 364 terms;
+- `rank-valuation-d12`: `rank_valuation` of that product on the 8-leaf
+  caterpillar (`enumerate_trivalent(8)[0]`), read along its edge ids;
+- `axioms-n8`: both valuations of f, g, f*g and f+g for 100 seeded
+  random 8-leaf trees, weightings, edge orders and polynomials f, g
+  (up to 3 terms of degree up to 3), checked for multiplicativity and
+  the ultrametric inequality.
 
 Only the standard library is used.
 """
@@ -29,11 +36,13 @@ import argparse
 import json
 import os
 import platform
+import random
 import re
 import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -71,11 +80,90 @@ def _straighten_setup():
     return f * f * f
 
 
+def _rank_valuation_setup():
+    return _caterpillar(8), _straighten_setup()
+
+
+def _rank_valuation(arg):
+    t, f = arg
+    return gt.rank_valuation(t, t.edge_ids, f).values
+
+
+def _random_tree(rng: random.Random, n: int) -> gt.LabeledTree:
+    """Grow a trivalent tree by inserting leaves 4..n into random edges."""
+    edges = [(1, n + 1), (2, n + 1), (3, n + 1)]
+    for k in range(4, n + 1):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        w = n + k - 2
+        edges += [(u, w), (v, w), (k, w)]
+    return gt.LabeledTree(n, tuple(edges))
+
+
+def _random_polynomial(rng: random.Random, n: int) -> gt.PlueckerPolynomial:
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    while True:
+        terms = [
+            (
+                gt.PlueckerMonomial.of([rng.choice(pairs) for _ in range(rng.randint(0, 3))]),
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        f = gt.PlueckerPolynomial(tuple(terms))
+        if not f.is_zero:
+            return f
+
+
+AXIOMS_OPS = 100
+
+
+def _axioms_setup():
+    n = 8
+    rng = random.Random(8)
+    ops = []
+    for _ in range(AXIOMS_OPS):
+        t = _random_tree(rng, n)
+        r = gt.EdgeWeighting.of(t, {
+            e: Fraction(rng.randint(-4, 6) if e.startswith("l") else rng.randint(1, 6), rng.randint(1, 3))
+            for e in t.edge_ids
+        })
+        order = list(t.edge_ids)
+        rng.shuffle(order)
+        f, g = _random_polynomial(rng, n), _random_polynomial(rng, n)
+        ops.append((t, r, order, [f, g, f * g] + ([] if (f + g).is_zero else [f + g])))
+    return ops
+
+
+def _axioms(ops):
+    return [
+        (
+            [gt.tropical_weight(r, h) for h in inputs],
+            [gt.rank_valuation(t, order, h).values for h in inputs],
+        )
+        for t, r, order, inputs in ops
+    ]
+
+
+def _axioms_hold(results) -> bool:
+    for tw, rv in results:
+        if tw[2] != tw[0] + tw[1] or rv[2] != tuple(a + b for a, b in zip(rv[0], rv[1])):
+            return False
+        if len(tw) == 4 and (tw[3] > max(tw[0], tw[1]) or rv[3] > max(rv[0], rv[1])):
+            return False
+    return len(results) == AXIOMS_OPS
+
+
 CASES = {
     "hilbert-n6-d4": _hilbert(lambda: gt.enumerate_trivalent(6)[0], 6, 4),
     "hilbert-caterpillar8-d3": _hilbert(lambda: _caterpillar(8), 8, 3),
     "enumerate-n8": (lambda: 8, gt.enumerate_trivalent, lambda trees: len(trees) == 10395),
     "straighten-d12": (_straighten_setup, gt.straighten, lambda g: len(g.terms) == 364),
+    "rank-valuation-d12": (
+        _rank_valuation_setup,
+        _rank_valuation,
+        lambda v: v == (3, 3, 3, 3, 3, 3, 3, 3, 6, 9, 12, 9, 6),
+    ),
+    "axioms-n8": (_axioms_setup, _axioms, _axioms_hold),
 }
 
 

@@ -30,6 +30,14 @@ def leaf_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def _leaf_index(text: str) -> int:
+    """A leaf index spelled in ASCII digits only; `int` would also take signs,
+    spaces, digit underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad leaf index {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(str(text).strip())
@@ -73,6 +81,12 @@ class EdgeWeighting:
 
     def as_dict(self) -> dict[EdgeId, Fraction]:
         return dict(zip(self.tree.edge_ids, self.values))
+
+    @cached_property
+    def _integer_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(den, w) with den the lcm of the denominators and w[k] = den * values[k]."""
+        den = math.lcm(*(v.denominator for v in self.values))
+        return den, tuple(v.numerator * (den // v.denominator) for v in self.values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,7 +193,7 @@ class DissimilarityVector:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'i j d_ij', got {line!r}")
             try:
-                i, j = int(parts[0]), int(parts[1])
+                i, j = _leaf_index(parts[0]), _leaf_index(parts[1])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad leaf index") from exc
             if i == j:
@@ -212,7 +226,7 @@ class DissimilarityVector:
         for key, v in obj["d"].items():
             try:
                 i_s, j_s = str(key).split(",")
-                i, j = int(i_s), int(j_s)
+                i, j = _leaf_index(i_s), _leaf_index(j_s)
             except ValueError as exc:
                 raise ValueError(f"bad pair key {key!r}") from exc
             pair = (min(i, j), max(i, j))
@@ -290,8 +304,7 @@ def is_tropical_point(d: DissimilarityVector) -> tuple[bool, tuple[QuartetWitnes
 def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
     """Path-sum dissimilarity vector of an edge weighting."""
     t = r.tree
-    den = math.lcm(*{v.denominator for v in r.values})
-    w = [v.numerator * (den // v.denominator) for v in r.values]
+    den, w = r._integer_weights
     parent, _, _ = t._rooted
     nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in parent}
     for v, k in t._parent_edge.items():

@@ -13,14 +13,30 @@ higher order of vanishing along the boundary divisors.  Expanding in the
 planar frame of the tree first is what makes both maps multiplicative;
 taking the maximum over an arbitrary presentation of f would only give
 an upper bound.
+
+Most of the time the expansion is not needed.  Orient every chord by the
+planar order, q_ab = p_ab when a comes before b there and -p_ab
+otherwise.  For a trivalent tree the initial ideal of the Pluecker ideal
+under the rank valuation is then the toric ideal of the monomial map
+q_ab -> (edge counts of the path a-b) (Speyer-Sturmfels, arXiv
+math/0304218; Kaveh-Manon, arXiv 1610.00298).  So group f's own
+monomials into fibers, one per edge-count vector, and sum their
+coefficients, each times the sign (-1)^(number of odd-exponent factors
+p_ij with j before i in the planar order).  When the largest fiber
+along the edge order has a nonzero sum, its vector is the rank
+valuation; when some fiber of largest weight does, that weight is
+val_r, provided r is in the open cone of the tree (trivalent, every
+internal weight positive).  Only when those sums cancel -- every f in
+the Pluecker ideal does so -- or r lies on the cone's boundary, or the
+tree is not trivalent, is f straightened.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .plucker import PlueckerMonomial, PlueckerPolynomial, straighten
@@ -133,14 +149,43 @@ def _check_labels(t: LabeledTree, f: PlueckerPolynomial) -> None:
 def _planar_edge_vectors(t: LabeledTree, f: PlueckerPolynomial) -> list[list[int]]:
     """Edge count vectors of the monomials of f's expansion in the tree's planar frame.
 
-    Shared by both valuations: the weight is a dot product with these
-    vectors, the rank valuation their largest reordering.
+    Shared by both valuations when f's own monomials do not decide the
+    value (see the module docstring): the weight is a dot product with
+    these vectors, the rank valuation their largest reordering.
     """
     _check_labels(t, f)
     g = straighten(f, order=t.planar_leaf_order)
     if g.is_zero:
         raise ValueError("the polynomial vanishes modulo the Pluecker ideal and has no value")
     return [t._edge_counts(m.exps) for m, _ in g.terms]
+
+
+def _signed_fibers(t: LabeledTree, f: PlueckerPolynomial) -> dict[tuple[int, ...], Fraction]:
+    """f's own monomials grouped by edge count vector, with signed coefficient sums.
+
+    A monomial's sign is -1 to the number of its odd-exponent factors
+    p_ij (i < j) whose leaf j comes before leaf i in the planar order;
+    it turns f into a polynomial in the oriented chords q_ab.  A fiber
+    of one monomial keeps that monomial's coefficient, so only fibers
+    that meet add.
+    """
+    n, span, path, size = t.n, t._rooted[2], t._path, len(t.edge_ids)
+    fibers: dict[tuple[int, ...], Fraction] = {}
+    for m, c in f.terms:
+        counts = [0] * size
+        flip = False
+        for (i, j), e in m.exps:
+            if j > n:
+                _check_labels(t, f)  # raises: f uses a label past n
+            for k in path(i, j):
+                counts[k] += e
+            if e & 1 and span[i][0] > span[j][0]:
+                flip = not flip
+        vec = tuple(counts)
+        if flip:
+            c = -c
+        fibers[vec] = fibers[vec] + c if vec in fibers else c
+    return fibers
 
 
 def monomial_weight(t: LabeledTree, m: PlueckerMonomial) -> SigmaWeight:
@@ -152,28 +197,45 @@ def tropical_weight(r: EdgeWeighting, f: PlueckerPolynomial) -> Fraction:
     """Weight of f under the edge weighting r (a rank-1 valuation value).
 
     The weights are scaled to integers over the lcm of their
-    denominators, so each monomial scores an integer dot product.
+    denominators, so each monomial scores an integer dot product.  On a
+    trivalent tree with every internal weight positive, the weight is
+    the top score among f's own monomials as soon as one fiber of top
+    score has a nonzero signed sum (see the module docstring).  When
+    every such fiber cancels, when an internal weight is 0, or when the
+    tree is not trivalent, the score is taken over f's planar expansion.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no weight")
-    den = math.lcm(*(w.denominator for w in r.values))
-    scaled = [w.numerator * (den // w.denominator) for w in r.values]
-    best = max(
-        sum(w * c for w, c in zip(scaled, vec)) for vec in _planar_edge_vectors(r.tree, f)
-    )
+    t = r.tree
+    den, scaled = r._integer_weights
+    if t.is_trivalent and all(w > 0 for w in scaled[t.n :]):
+        fibers = _signed_fibers(t, f)
+        scores = {vec: sum(map(mul, scaled, vec)) for vec in fibers}
+        best = max(scores.values())
+        if any(fibers[vec] for vec, score in scores.items() if score == best):
+            return Fraction(best, den)
+    best = max(sum(map(mul, scaled, vec)) for vec in _planar_edge_vectors(t, f))
     return Fraction(best, den)
 
 
 def rank_valuation(t: LabeledTree, o: Sequence[EdgeId], f: PlueckerPolynomial) -> ValueVector:
-    """Extremal edge-weight vector of f's planar expansion, read along o."""
+    """Extremal edge-weight vector of f's planar expansion, read along o.
+
+    This is the largest edge count vector along o among f's own
+    monomials whenever that fiber's signed coefficient sum is nonzero
+    (see the module docstring); only when it cancels is f straightened.
+    """
     if not t.is_trivalent:
         raise ValueError("rank valuations are defined for trivalent trees")
     order = _check_order(t, o)
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    perm = [t._edge_index[e] for e in order]
-    best = max(tuple(vec[k] for k in perm) for vec in _planar_edge_vectors(t, f))
-    return ValueVector(t, order, best)
+    read = itemgetter(*(t._edge_index[e] for e in order))
+    fibers = _signed_fibers(t, f)
+    top = max(fibers, key=read)
+    if not fibers[top]:
+        top = max(_planar_edge_vectors(t, f), key=read)
+    return ValueVector(t, order, read(top))
 
 
 def valuation_matrix(t: LabeledTree, o: Sequence[EdgeId]) -> ValuationMatrix:

@@ -223,13 +223,19 @@ def test_malformed_json_input(capsys, monkeypatch):
         (("trop", "check"), TROPICAL_JSON.replace('"n":4', '"n":true')),
         (("trop", "dissim"), ONES_WEIGHTING.replace('"n": 4', '"n": 4.0')),
         (("trop", "dissim"), ONES_WEIGHTING.replace("[1, 5]", "[true, 5]")),
+        (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '"+3,4"')),
+        (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '" 3,4"')),
+        (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '"3,0_4"')),
+        (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '"\u0663,4"')),
+        (("trop", "check"), TROPICAL_TSV.replace("3\t4\t2", "3\t+4\t2")),
     ],
     ids=[
         "check-d-list", "reconstruct-d-list", "dissim-list", "dissim-tree-list",
         "dissim-weights-list", "check-pairs-out-of-range", "reconstruct-duplicate-pair",
         "check-tsv-leaf-0", "reconstruct-tsv-leaf-0", "check-n-overflow", "dissim-vertex-overflow",
         "check-n-float", "reconstruct-n-integral-float", "check-n-bool", "dissim-n-integral-float",
-        "dissim-vertex-bool",
+        "dissim-vertex-bool", "check-key-plus-sign", "check-key-space", "check-key-underscore",
+        "check-key-arabic-indic-digit", "check-tsv-index-plus-sign",
     ],
 )
 def test_wrong_shape_json_exits_2(capsys, monkeypatch, argv, text):

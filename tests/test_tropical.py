@@ -287,9 +287,15 @@ def test_vector_of_validation():
         with pytest.raises(ValueError, match="not a leaf pair|duplicate pair"):
             DissimilarityVector.of(4, {**full, extra: 5})
     text = vec4(2, 3, 3, 3, 3, 2).to_json()
-    for extra in ('"7,9":"5"', '"0,1":"3"', '"2,1":"5"', '"1, 2":"5"'):
+    for extra in ('"7,9":"5"', '"0,1":"3"', '"2,1":"5"'):
         with pytest.raises(ValueError, match="not a leaf pair|duplicate pair"):
             DissimilarityVector.from_json(text[:-2] + "," + extra + "}}")
+    # leaf indices are ASCII digits only: no signs, spaces, underscores or other digits
+    for extra in ('"1, 2":"5"', '"+3,4":"5"', '"3,0_4":"5"', '"\u0663,4":"5"'):
+        with pytest.raises(ValueError, match="bad pair key"):
+            DissimilarityVector.from_json(text[:-2] + "," + extra + "}}")
+    with pytest.raises(ValueError, match="bad leaf index"):
+        DissimilarityVector.from_tsv(vec4(2, 3, 3, 3, 3, 2).to_tsv().replace("3\t4", "3\t+4"))
     with pytest.raises(ValueError, match="not a leaf pair"):
         DissimilarityVector.from_tsv(vec4(2, 3, 3, 3, 3, 2).to_tsv() + "0 2 9\n")
     # a large n with few entries names 20 missing pairs and counts the rest

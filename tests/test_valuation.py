@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,11 @@ from grasstrop import (
     EdgeWeighting,
     PlueckerPolynomial,
     ValueVector,
+    contract_edge,
     dissimilarity,
     in_semigroup,
     leaf_pairs,
+    leaf_path,
     monomial_weight,
     omega,
     p,
@@ -287,11 +290,157 @@ def test_rank_valuation_is_max_over_monomial_weights():
         assert rank_valuation(t, o, f).values == expect
 
 
+def _expansion_rank(t, o, f):
+    """rank_valuation by straightening in the planar frame; None when f is 0 there."""
+    g = straighten(f, order=t.planar_leaf_order)
+    if g.is_zero:
+        return None
+    paths = {pr: leaf_path(t, *pr) for pr in leaf_pairs(t.n)}
+    return max(
+        tuple(sum(e for pr, e in m.exps if eid in paths[pr]) for eid in o) for m in g.monomials()
+    )
+
+
+def _expansion_weight(r, f):
+    """tropical_weight by straightening in the planar frame; None when f is 0 there."""
+    g = straighten(f, order=r.tree.planar_leaf_order)
+    if g.is_zero:
+        return None
+    d = dissimilarity(r)
+    return max(sum((d.value(i, j) * e for (i, j), e in m.exps), Fraction(0)) for m in g.monomials())
+
+
+def _value_or_none(call):
+    try:
+        return call()
+    except ValueError as exc:
+        assert "vanishes modulo the Pluecker ideal" in str(exc)
+        return None
+
+
+def _nonzero_rational(rng):
+    return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 4))
+
+
+def _cancelling(rng, t):
+    """m * (three-term relation + c * its split pairing) for a quartet of t.
+
+    The quartet's two pairings that cross its split share one edge count
+    vector, which lies above the split pairing's in every coordinate and
+    scores higher under every weighting with positive internal weights;
+    that top fiber cancels because m times the relation lies in the
+    Pluecker ideal, while f itself is c * m * (split pairing) modulo it.
+    """
+    i, j, k, l = sorted(rng.sample(list(t.leaves), 4))
+    pairings = (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+    a, b = min(pairings, key=lambda pr: len(leaf_path(t, *pr[0])) + len(leaf_path(t, *pr[1])))
+    m = random_polynomial(rng, t.n, max_terms=1, max_degree=2)
+    return m * (three_term_relation(i, j, k, l) + (p(*a) * p(*b)).scaled(_nonzero_rational(rng)))
+
+
+def _with_zero_internal_weight(rng, r):
+    weights = r.as_dict()
+    weights[rng.choice(r.tree.internal_edge_ids)] = 0
+    return EdgeWeighting.of(r.tree, weights)
+
+
+def _star_point(rng, t):
+    """Positive leaf weights, all internal weights 0, and m * (relation + c * p_ij).
+
+    At this point, on the boundary of every tree's cone and the only
+    point of the star tree's, the three pairings of the quartet score
+    the same, so the fiber of the relation's split pairing is a top fiber
+    with a nonzero sum; yet f is c * m * p_ij modulo the Pluecker ideal,
+    which scores lower.
+    """
+    weights = {eid: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for eid in t.edge_ids[: t.n]}
+    i, j, k, l = sorted(rng.sample(list(t.leaves), 4))
+    m = random_polynomial(rng, t.n, max_terms=1, max_degree=2)
+    f = m * (three_term_relation(i, j, k, l) + p(i, j).scaled(_nonzero_rational(rng)))
+    return EdgeWeighting.of(t, weights), f
+
+
+@lru_cache(maxsize=None)
+def _route_corpus():
+    """Seeded (kind, tree, edge order, weighting, polynomial) cases for n = 4..8.
+
+    Kinds: "random" (random polynomials and their products, internal
+    weights positive), "relation" (three-term relation * g + h),
+    "cancelling" (see _cancelling), "zero-internal" (a random input with
+    one internal weight 0) and "contracted" (a weighting of a tree with
+    one internal edge contracted; tropical_weight only).
+    """
+    rng = random.Random(61)
+    cases = []
+    for n in (4, 5, 6, 7, 8):
+        for _ in range(8):
+            t = random_tree(rng, n)
+            o = list(t.edge_ids)
+            rng.shuffle(o)
+            r = random_weighting(rng, t)
+            f = random_polynomial(rng, n, max_degree=3, max_terms=3)
+            g = random_polynomial(rng, n, max_degree=2, max_terms=3)
+            h = random_polynomial(rng, n, max_degree=2, max_terms=2)
+            relation = three_term_relation(*sorted(rng.sample(range(1, n + 1), 4)))
+            cases += [("random", t, o, r, f), ("random", t, o, r, f * g)]
+            cases.append(("relation", t, o, r, relation * g + h))
+            cases.append(("cancelling", t, o, r, _cancelling(rng, t)))
+            cases.append(("zero-internal", t, o, _with_zero_internal_weight(rng, r), f * g))
+            cases.append(("zero-internal", t, o, *_star_point(rng, t)))
+            c = contract_edge(t, rng.choice(t.internal_edge_ids))
+            cases.append(("contracted", c, None, random_weighting(rng, c, positive_internal=False), f))
+            while c.internal_edge_ids:
+                c = contract_edge(c, c.internal_edge_ids[0])
+            cases.append(("contracted", c, None, *_star_point(rng, c)))
+    return tuple(cases)
+
+
+def test_both_valuations_agree_with_the_straightening_route():
+    kinds = set()
+    for kind, t, o, r, f in _route_corpus():
+        kinds.add(kind)
+        if o is not None:
+            assert _value_or_none(lambda: rank_valuation(t, o, f).values) == _expansion_rank(t, o, f)
+        assert _value_or_none(lambda: tropical_weight(r, f)) == _expansion_weight(r, f)
+    assert kinds == {"random", "relation", "cancelling", "zero-internal", "contracted"}
+
+
+def test_straightening_runs_only_when_the_leading_fiber_cancels(monkeypatch):
+    import grasstrop.valuation as valuation_mod
+
+    calls = []
+
+    def counted(f, order=None):
+        calls.append(f)
+        return straighten(f, order=order)
+
+    monkeypatch.setattr(valuation_mod, "straighten", counted)
+    corpus = _route_corpus()
+    for kind, t, o, r, f in corpus:
+        if kind == "random":
+            rank_valuation(t, o, f)
+            tropical_weight(r, f)
+    assert calls == []
+    fallbacks = [
+        ("cancelling", lambda t, o, r, f: rank_valuation(t, o, f)),
+        ("cancelling", lambda t, o, r, f: tropical_weight(r, f)),
+        ("zero-internal", lambda t, o, r, f: tropical_weight(r, f)),
+        ("contracted", lambda t, o, r, f: tropical_weight(r, f)),
+    ]
+    for want, call in fallbacks:
+        for kind, t, o, r, f in corpus:
+            if kind == want:
+                before = len(calls)
+                call(t, o, r, f)
+                assert len(calls) > before, (kind, f)
+
+
 def test_valuation_checks_survive_optimized_mode():
     # python -O strips assert statements; the valuations must still refuse
-    # a polynomial whose planar expansion is zero
+    # a polynomial whose planar expansion is zero, and a polynomial whose
+    # leading fiber cancels must still get the value of its expansion
     code = (
-        "from grasstrop import EdgeWeighting, enumerate_trivalent, rank_valuation,"
+        "from grasstrop import EdgeWeighting, enumerate_trivalent, p, rank_valuation,"
         " three_term_relation, tropical_weight\n"
         "t = enumerate_trivalent(4)[0]\n"
         "f = three_term_relation(1, 2, 3, 4)\n"
@@ -302,6 +451,12 @@ def test_valuation_checks_survive_optimized_mode():
         "    except ValueError:\n"
         "        continue\n"
         "    raise SystemExit('no ValueError')\n"
+        "# the fiber of p13*p24 and p14*p23 cancels; g is p12*p34 modulo the ideal\n"
+        "g = f + p(1, 2) * p(3, 4)\n"
+        "ones = EdgeWeighting.of(t, {e: 1 for e in t.edge_ids})\n"
+        "got = (rank_valuation(t, t.edge_ids, g).values, tropical_weight(ones, g))\n"
+        "if got != ((1, 1, 1, 1, 0), 4):\n"
+        "    raise SystemExit(f'cancelling input valued {got}')\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
