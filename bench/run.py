@@ -19,7 +19,12 @@ and two valuation cases:
 - `hilbert-caterpillar8-d3`: the same on the 8-leaf caterpillar,
   degrees 1..3;
 - `enumerate-n8`: `enumerate_trivalent(8)`, all 10395 trees;
-- `straighten-d12`: `straighten` of (p15 p26 p37 p48)^3, 364 terms;
+- `straighten-d12`: `straighten` of (p15 p26 p37 p48)^3, 364 terms,
+  with the memo of expansions cleared first, so the number is cold;
+- `straighten-d8-warm`: `straighten` of c*(p15 p26 p37 p48)^2 right
+  after the same monomial was straightened with another coefficient, so
+  its expansion comes from the memo; checked against the cold result
+  and its 91 terms;
 - `rank-valuation-d12`: `rank_valuation` of that product on the 8-leaf
   caterpillar (`enumerate_trivalent(8)[0]`), read along its edge ids;
 - `axioms-n8`: both valuations of f, g, f*g and f+g for 100 seeded
@@ -75,9 +80,34 @@ def _hilbert(make_tree, n: int, d: int):
     return make_tree, run, check
 
 
+def _diameters():
+    return gt.p(1, 5) * gt.p(2, 6) * gt.p(3, 7) * gt.p(4, 8)
+
+
 def _straighten_setup():
-    f = gt.p(1, 5) * gt.p(2, 6) * gt.p(3, 7) * gt.p(4, 8)
+    f = _diameters()
     return f * f * f
+
+
+def _straighten_cold_setup():
+    gt.plucker._unit_normal_form.cache_clear()
+    return _straighten_setup()
+
+
+def _straighten_warm_setup():
+    """c*m and its cold expansion, with the memo warmed by another multiple of m."""
+    m = _diameters() * _diameters()
+    f = m.scaled(Fraction(-5, 3))
+    gt.plucker._unit_normal_form.cache_clear()
+    cold = gt.straighten(f)
+    gt.plucker._unit_normal_form.cache_clear()
+    gt.straighten(m.scaled(7))
+    return f, cold
+
+
+def _straighten_warm(arg):
+    f, cold = arg
+    return gt.straighten(f), cold
 
 
 def _rank_valuation_setup():
@@ -157,7 +187,12 @@ CASES = {
     "hilbert-n6-d4": _hilbert(lambda: gt.enumerate_trivalent(6)[0], 6, 4),
     "hilbert-caterpillar8-d3": _hilbert(lambda: _caterpillar(8), 8, 3),
     "enumerate-n8": (lambda: 8, gt.enumerate_trivalent, lambda trees: len(trees) == 10395),
-    "straighten-d12": (_straighten_setup, gt.straighten, lambda g: len(g.terms) == 364),
+    "straighten-d12": (_straighten_cold_setup, gt.straighten, lambda g: len(g.terms) == 364),
+    "straighten-d8-warm": (
+        _straighten_warm_setup,
+        _straighten_warm,
+        lambda gc: gc[0] == gc[1] and len(gc[0].terms) == 91,
+    ),
     "rank-valuation-d12": (
         _rank_valuation_setup,
         _rank_valuation,

@@ -19,6 +19,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 Pair = tuple[int, int]
@@ -236,7 +237,8 @@ def _in_normal_form(cls: type[_T], **fields: object) -> _T:
     """An instance of a frozen class from fields already in its normal form.
 
     Skips __post_init__, which would only re-validate, re-merge and
-    re-sort what straightening already keeps sorted and merged.
+    re-sort what the caller already keeps checked, sorted and merged
+    (straightening's terms, or a valuation's edge order).
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -268,24 +270,17 @@ def _multiply(exps: Exps, drop: tuple[Pair, Pair], add: tuple[Pair, Pair]) -> Ex
     return tuple(sorted((pr, e) for pr, e in out.items() if e))
 
 
-def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> PlueckerPolynomial:
-    """Expand f over crossing-free monomials for the given circular order.
+def _worklist(items: Iterable[tuple[Exps, Fraction]], pos: Mapping[int, int]) -> dict[Exps, Fraction]:
+    """Straighten the sum of items into a map from crossing-free monomials to coefficients.
 
-    The result is equal to f modulo the Pluecker ideal and is supported on
-    monomials without crossing pairs.  The rewrite loop always picks the
-    largest remaining monomial (degree, then lexicographic) and its
-    smallest crossing pair, which makes intermediate traces deterministic;
-    the final expansion does not depend on this choice.
-
-    The loop is a worklist over raw exponent tuples.  Crossing-free
-    monomials go straight to the result map and are never looked at
-    again; monomials that still cross sit in a pending map, each with
-    its smallest crossing pair found once when it first appears, and a
-    heap keyed by _desc_key hands out the largest of them.  A heap entry
-    whose monomial has meanwhile cancelled to 0 is skipped when popped.
+    A worklist over raw exponent tuples.  Crossing-free monomials go
+    straight to the result map and are never looked at again; monomials
+    that still cross sit in a pending map, each with its smallest
+    crossing pair found once when it first appears, and a heap keyed by
+    _desc_key hands out the largest of them.  A heap entry whose
+    monomial has meanwhile cancelled to 0 is skipped when popped.  The
+    map may hold coefficients that cancelled to 0.
     """
-    labels = {x for m, _ in f.terms for pr in m.support() for x in pr}
-    pos = _positions(order, labels)
     done: dict[Exps, Fraction] = {}
     pending: dict[Exps, Fraction] = {}
     first_crossing: dict[Exps, tuple[Pair, Pair]] = {}
@@ -312,8 +307,8 @@ def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> Plu
         pending[exps] = c
         heapq.heappush(heap, (_desc_key(exps), exps))
 
-    for m, c in f.terms:
-        add(m.exps, c)
+    for exps, c in items:
+        add(exps, c)
     while heap:
         _, exps = heapq.heappop(heap)
         coeff = pending.pop(exps, None)
@@ -322,6 +317,59 @@ def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> Plu
         u, v = first_crossing[exps]
         for a, b, sign in _rewrite(u, v):
             add(_multiply(exps, (u, v), (a, b)), coeff if sign > 0 else -coeff)
+    return done
+
+
+# 256 entries hold the expansions of all 185 crossing products of 2 to 6
+# of the octagon's four diameters (0.9 MB under tracemalloc), so the
+# recurring crossing-heavy products never evict one another; a degree-8
+# expansion (at most 91 terms) takes about 12 KB, so even a full memo of
+# those stays near 3 MB, and memory stays flat however many distinct
+# monomials and circular orders a process straightens.
+@lru_cache(maxsize=256)
+def _unit_normal_form(exps: Exps, order: tuple[int, ...] | None) -> tuple[tuple[Exps, Fraction], ...]:
+    """The crossing-free expansion of the monomial exps at coefficient 1.
+
+    order is the circular order as a tuple, or None for 1..n; the caller
+    has already checked that it holds every label of exps.
+    """
+    pos = _positions(order, (x for pr, _ in exps for x in pr))
+    return tuple((e, c) for e, c in _worklist(((exps, Fraction(1)),), pos).items() if c)
+
+
+def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> PlueckerPolynomial:
+    """Expand f over crossing-free monomials for the given circular order.
+
+    The result is equal to f modulo the Pluecker ideal and is supported on
+    monomials without crossing pairs.  The rewrite loop always picks the
+    largest remaining monomial (degree, then lexicographic) and its
+    smallest crossing pair, which makes intermediate traces deterministic;
+    the final expansion does not depend on this choice.  The loop itself
+    is _worklist.
+
+    When exactly one monomial of f crosses, its expansion at coefficient
+    1 comes from a bounded memo keyed by the monomial and the circular
+    order (_unit_normal_form), is scaled by its coefficient and added to
+    f's crossing-free terms, so a recurring crossing-heavy product is
+    rewritten once.  When two or more cross, they share one worklist
+    run, as their rewrites may meet and cancel (as for relation*g + h).
+    The order is checked against f's labels before any lookup.
+    """
+    labels = {x for m, _ in f.terms for pr in m.support() for x in pr}
+    pos = _positions(order, labels)
+    crossing = [
+        (m.exps, c) for m, c in f.terms if _first_crossing(m.support(), pos) is not None
+    ]
+    if len(crossing) == 1:
+        (exps, c), = crossing
+        done = {m.exps: cc for m, cc in f.terms if m.exps != exps}
+        key = None if order is None else tuple(order)
+        for e, u in _unit_normal_form(exps, key):
+            done[e] = done[e] + c * u if e in done else c * u
+    elif crossing:
+        done = _worklist(((m.exps, c) for m, c in f.terms), pos)
+    else:
+        return f
     terms = sorted(
         ((exps, c) for exps, c in done.items() if c),
         key=lambda ec: (-sum(e for _, e in ec[0]), ec[0]),

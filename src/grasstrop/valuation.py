@@ -39,7 +39,7 @@ from functools import cached_property
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .plucker import PlueckerMonomial, PlueckerPolynomial, straighten
+from .plucker import PlueckerMonomial, PlueckerPolynomial, _in_normal_form, straighten
 from .semigroup import SigmaWeight
 from .trees import EdgeId, LabeledTree
 from .tropical import (
@@ -82,8 +82,11 @@ class ValueVector:
     def __add__(self, other: "ValueVector") -> "ValueVector":
         if self.tree != other.tree or self.order != other.order:
             raise ValueError("can only add value vectors on the same tree and order")
-        return ValueVector(
-            self.tree, self.order, tuple(a + b for a, b in zip(self.values, other.values))
+        return _in_normal_form(
+            ValueVector,
+            tree=self.tree,
+            order=self.order,
+            values=tuple(a + b for a, b in zip(self.values, other.values)),
         )
 
     def as_weight(self) -> SigmaWeight:
@@ -235,7 +238,7 @@ def rank_valuation(t: LabeledTree, o: Sequence[EdgeId], f: PlueckerPolynomial) -
     top = max(fibers, key=read)
     if not fibers[top]:
         top = max(_planar_edge_vectors(t, f), key=read)
-    return ValueVector(t, order, read(top))
+    return _in_normal_form(ValueVector, tree=t, order=order, values=read(top))
 
 
 def valuation_matrix(t: LabeledTree, o: Sequence[EdgeId]) -> ValuationMatrix:

@@ -14,8 +14,9 @@ from grasstrop import (
     straighten,
     three_term_relation,
 )
+from grasstrop.plucker import _unit_normal_form
 from oracles import eval_on_minors
-from util import random_matrix, random_polynomial
+from util import random_matrix, random_monomial, random_polynomial
 
 
 def test_three_term_relation_shape():
@@ -177,3 +178,98 @@ def test_straighten_cancels_a_pending_crossing_monomial():
     f = p(1, 3) * p(1, 4) * p(2, 5) - p(1, 2) * p(1, 4) * p(3, 5)
     assert straighten(f) == p(1, 4) * p(1, 5) * p(2, 3)
     assert straighten(f - p(1, 4) * p(1, 5) * p(2, 3)).is_zero
+
+
+def _monomial_where(rng, n, order, crossing):
+    """A random monomial of degree 2..4 on labels 1..n that crosses in order, or does not."""
+    while True:
+        m = random_monomial(rng, n, max_degree=4)
+        if m.degree >= 2 and is_noncrossing(m, order=order) != crossing:
+            return m
+
+
+def _memo_corpus():
+    """Seeded (f, order) pairs: one crossing term of either sign, or several terms."""
+    rng = random.Random(31)
+    corpus = []
+    for n in range(4, 9):
+        for _ in range(12):
+            order = None
+            if rng.random() < 0.5:
+                order = list(range(1, n + 1))
+                rng.shuffle(order)
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+            terms = [(_monomial_where(rng, n, order, True), c)]
+            terms += [(_monomial_where(rng, n, order, False), Fraction(rng.randint(-3, 3)))
+                      for _ in range(rng.randint(0, 2))]
+            corpus.append((PlueckerPolynomial(tuple(terms)), order))
+            g = random_polynomial(rng, n, max_degree=3, max_terms=3)
+            corpus.append((three_term_relation(1, 2, 3, 4) * g + g, order))
+    return corpus
+
+
+def test_memo_agrees_with_cold_straightening_and_minors():
+    rng = random.Random(37)
+    signs = set()
+    for f, order in _memo_corpus():
+        crossing = [(m, c) for m, c in f.terms if not is_noncrossing(m, order=order)]
+        if len(crossing) == 1:
+            m, c = crossing[0]
+            signs.add(c > 0)
+            straighten(PlueckerPolynomial(((m, Fraction(7)),)), order=order)  # warm the memo
+        warm = straighten(f, order=order)
+        _unit_normal_form.cache_clear()
+        cold = straighten(f, order=order)
+        assert warm == cold, (f, order)
+        assert all(is_noncrossing(m, order=order) for m in warm.monomials())
+        n = max(f.max_label(), 4)
+        for _ in range(2):
+            mat = random_matrix(rng, n)
+            assert eval_on_minors(warm, mat) == eval_on_minors(f, mat)
+    assert signs == {True, False}
+
+
+def test_memo_keeps_each_circular_order_apart():
+    m = p(1, 4) * p(2, 5) * p(3, 6)
+    orders = (None, [1, 2, 3, 5, 4, 6])
+    cold = []
+    for order in orders:
+        _unit_normal_form.cache_clear()
+        cold.append(straighten(m, order=order))
+    assert cold[0] != cold[1]
+    _unit_normal_form.cache_clear()
+    for _ in range(2):
+        for order, want in zip(orders, cold):
+            got = straighten(m.scaled(-2), order=order)
+            assert got == want.scaled(-2)
+            assert all(is_noncrossing(mm, order=order) for mm in got.monomials())
+
+
+def test_memo_does_not_skip_the_order_check():
+    m = p(1, 3) * p(2, 4) * p(3, 5)
+    straighten(m, order=[1, 2, 3, 4, 5])
+    straighten(m)
+    for bad in ([1, 2, 3, 4], (5, 4, 3, 2)):
+        with pytest.raises(ValueError, match=r"^labels \[\d\] not in the circular order$"):
+            straighten(m, order=bad)
+
+
+def test_memo_is_bounded_and_hit_by_a_recurring_product():
+    _unit_normal_form.cache_clear()
+    maxsize = _unit_normal_form.cache_info().maxsize
+    assert maxsize == 256
+    base = p(1, 3) * p(2, 4)
+    power = p(5, 6)
+    for _ in range(maxsize + 44):
+        straighten(base * power)
+        power = power * p(5, 6)
+    info = _unit_normal_form.cache_info()
+    assert info.misses == maxsize + 44
+    assert info.currsize <= maxsize
+    f = p(1, 5) * p(2, 6) * p(3, 7) * p(4, 8)
+    straighten(f.scaled(3))
+    before = _unit_normal_form.cache_info()
+    assert straighten(f.scaled(Fraction(-1, 2))) == straighten(f).scaled(Fraction(-1, 2))
+    after = _unit_normal_form.cache_info()
+    assert after.hits == before.hits + 2
+    assert after.misses == before.misses

@@ -246,6 +246,37 @@ def test_value_vector_basics():
         vv + other
 
 
+def test_edge_order_is_checked_once_per_value(monkeypatch):
+    import grasstrop.valuation as valuation_mod
+
+    check = valuation_mod._check_order
+    calls = []
+
+    def counted(t, order):
+        calls.append(order)
+        return check(t, order)
+
+    monkeypatch.setattr(valuation_mod, "_check_order", counted)
+    rng = random.Random(61)
+    t = random_tree(rng, 7)
+    order = list(t.edge_ids)
+    rng.shuffle(order)
+    f = random_polynomial(rng, 7, max_degree=3, max_terms=3)
+    g = f * three_term_relation(1, 3, 5, 7) + p(2, 6) * p(1, 4)  # the fiber route and the fallback
+    values = [rank_valuation(t, order, h) for h in (f, g)]
+    assert len(calls) == 2
+    total = values[0] + values[1]
+    assert len(calls) == 2
+    assert total == ValueVector(t, tuple(order), tuple(a + b for a, b in zip(*(v.values for v in values))))
+    assert len(calls) == 3
+    # a public constructor call still checks, with the same message
+    for bad in (t.edge_ids[:-1], t.edge_ids[:-1] + t.edge_ids[:1], t.edge_ids + ("e9-9",)):
+        with pytest.raises(ValueError, match="^edge order must be a permutation of the tree's edge ids$"):
+            ValueVector(t, bad, (0,) * len(bad))
+    with pytest.raises(ValueError, match="^edge order must be a permutation"):
+        rank_valuation(t, t.edge_ids[1:], f)
+
+
 def test_rank_valuation_rejects_bad_input():
     t = sigma(1)
     with pytest.raises(ValueError):
@@ -437,11 +468,13 @@ def test_straightening_runs_only_when_the_leading_fiber_cancels(monkeypatch):
 
 def test_valuation_checks_survive_optimized_mode():
     # python -O strips assert statements; the valuations must still refuse
-    # a polynomial whose planar expansion is zero, and a polynomial whose
-    # leading fiber cancels must still get the value of its expansion
+    # a polynomial whose planar expansion is zero, a polynomial whose
+    # leading fiber cancels must still get the value of its expansion, and
+    # straightening through the memo must give the same expansions and the
+    # same refusal of a label missing from the order as without -O
     code = (
-        "from grasstrop import EdgeWeighting, enumerate_trivalent, p, rank_valuation,"
-        " three_term_relation, tropical_weight\n"
+        "from grasstrop import EdgeWeighting, enumerate_trivalent, format_polynomial, p,"
+        " rank_valuation, straighten, three_term_relation, tropical_weight\n"
         "t = enumerate_trivalent(4)[0]\n"
         "f = three_term_relation(1, 2, 3, 4)\n"
         "for call in (lambda: tropical_weight(EdgeWeighting.of(t, {}), f),"
@@ -457,10 +490,29 @@ def test_valuation_checks_survive_optimized_mode():
         "got = (rank_valuation(t, t.edge_ids, g).values, tropical_weight(ones, g))\n"
         "if got != ((1, 1, 1, 1, 0), 4):\n"
         "    raise SystemExit(f'cancelling input valued {got}')\n"
+        "m = p(1, 4) * p(2, 5) * p(3, 6) * p(1, 5)\n"
+        "order = [1, 2, 3, 5, 4, 6]\n"
+        "cold = straighten(m.scaled(-2), order=order)\n"
+        "warm = straighten(m.scaled(-2), order=order)\n"
+        "if warm != cold:\n"
+        "    raise SystemExit('warm expansion differs from the cold one')\n"
+        "print(format_polynomial(cold))\n"
+        "print(format_polynomial(warm))\n"
+        "try:\n"
+        "    straighten(m, order=order[:-1])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no ValueError for a missing label')\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr + proc.stdout
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, (flags, proc.stderr + proc.stdout)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[-1] == "labels [6] not in the circular order"
