@@ -18,7 +18,8 @@ and two valuation cases:
   tree with 6 leaves, degrees 1..4;
 - `hilbert-caterpillar8-d3`: the same on the 8-leaf caterpillar,
   degrees 1..3;
-- `enumerate-n8`: `enumerate_trivalent(8)`, all 10395 trees;
+- `enumerate-n8`: `enumerate_trivalent(8)`, checked to be 10395
+  distinct trivalent trees in ascending order of their split keys;
 - `straighten-d12`: `straighten` of (p15 p26 p37 p48)^3, 364 terms,
   with the memo of expansions cleared first, so the number is cold;
 - `straighten-d8-warm`: `straighten` of c*(p15 p26 p37 p48)^2 right
@@ -183,10 +184,43 @@ def _axioms_hold(results) -> bool:
     return len(results) == AXIOMS_OPS
 
 
+def _enumeration_holds(trees, n: int = 8) -> bool:
+    """(2n-5)!! trivalent trees, connected, listed by strictly ascending split keys.
+
+    A tree's key is the list of leaf-1 sides of its internal splits, each
+    a sorted tuple, in ascending order; the sides are found by a walk from
+    leaf 1 over the edge list alone.  The key determines the split set, so
+    strictly ascending keys also mean distinct trees.
+    """
+    leaves = set(range(1, n + 1))
+    keys = []
+    for t in trees:
+        adj: dict[int, list[int]] = {}
+        for u, v in t.edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        if any(len(nbrs) != (1 if v <= n else 3) for v, nbrs in adj.items()):
+            return False
+        parent, order = {1: 0}, [1]
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != len(adj):
+            return False
+        below = {v: {v} if v <= n else set() for v in order}
+        for v in reversed(order[2:]):
+            below[parent[v]] |= below[v]
+        # order[1] is the neighbour of leaf 1; its edge is the leaf edge l1
+        keys.append(sorted(tuple(sorted(leaves - below[v])) for v in order[2:] if v > n))
+    return len(keys) == gt.double_factorial(2 * n - 5) and all(a < b for a, b in zip(keys, keys[1:]))
+
+
 CASES = {
     "hilbert-n6-d4": _hilbert(lambda: gt.enumerate_trivalent(6)[0], 6, 4),
     "hilbert-caterpillar8-d3": _hilbert(lambda: _caterpillar(8), 8, 3),
-    "enumerate-n8": (lambda: 8, gt.enumerate_trivalent, lambda trees: len(trees) == 10395),
+    "enumerate-n8": (lambda: 8, gt.enumerate_trivalent, _enumeration_holds),
     "straighten-d12": (_straighten_cold_setup, gt.straighten, lambda g: len(g.terms) == 364),
     "straighten-d8-warm": (
         _straighten_warm_setup,

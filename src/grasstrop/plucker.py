@@ -184,6 +184,10 @@ def _positions(order: Sequence[int] | None, labels: Iterable[int]) -> dict[int, 
     if order is None:
         return {x: x for x in labels}
     pos = {x: k for k, x in enumerate(order)}
+    if len(pos) < len(order):
+        # a repeated label keeps only its last position in pos
+        repeated = sorted({x for k, x in enumerate(order) if pos[x] != k})
+        raise ValueError(f"labels {repeated} repeat in the circular order")
     missing = [x for x in labels if x not in pos]
     if missing:
         raise ValueError(f"labels {sorted(set(missing))} not in the circular order")

@@ -29,7 +29,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import count
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 EdgeId = str
 
@@ -145,10 +147,19 @@ class LabeledTree:
         """The tree on these edges, canonicalized once, and the map from the
         given vertex labels to the canonical ones."""
         canonical, old2new = _canonical_form(n, edges)
+        return cls._from_canonical(n, canonical), old2new
+
+    @classmethod
+    def _from_canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> LabeledTree:
+        """The tree on edges that are already in canonical form, sorted.
+
+        Skips __post_init__, which would only re-validate and re-sort
+        what the caller has built canonically.
+        """
         t = cls.__new__(cls)
         object.__setattr__(t, "n", n)
-        object.__setattr__(t, "edges", canonical)
-        return t, old2new
+        object.__setattr__(t, "edges", edges)
+        return t
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -357,32 +368,98 @@ def tree_equal(a: LabeledTree, b: LabeledTree) -> bool:
     return a.internal_splits == b.internal_splits
 
 
-def enumerate_trivalent(n: int) -> list[LabeledTree]:
-    """All trivalent trees on leaves 1..n, in a fixed canonical order.
+class _LeafOneSides(dict):
+    """Bitmask of the leaves below a vertex -> sorted tuple of the other leaves.
 
-    Built by attaching leaf k to every edge of every (k-1)-leaf tree;
-    removing the highest leaf inverts the step, so each tree shows up
-    exactly once.  Sorted by their lists of internal splits.
+    Filled as masks are first asked for, so it holds no more entries than
+    the splits met.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, below: int) -> tuple[int, ...]:
+        side = self[below] = tuple(x for x in range(1, self.n + 1) if not below >> x & 1)
+        return side
+
+
+def _grow(
+    pre: tuple[int, ...], up: tuple[int, ...], k: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The trees grown from one tree by inserting leaf k into each of its edges.
+
+    A tree is carried as its canonical preorder from leaf 1 (see the
+    module docstring): pre holds each vertex's leaf label, or 0 for an
+    internal vertex, and up holds the position of its parent (-1 for
+    leaf 1).  Leaf k is larger than every leaf present, so inserting it
+    into the edge above the vertex v at position i, by way of a new
+    vertex w with children v and k, changes no vertex's smallest leaf
+    below, and w takes v's.  The child's preorder is therefore the
+    parent's with w placed just before v and k just after the end of v's
+    subtree: positions from i on move by one, and those after the
+    subtree by two.
+    """
+    size = len(pre)
+    end = list(range(1, size + 1))  # one past the last position of each subtree
+    for x in range(size - 1, 1, -1):
+        if end[up[x]] < end[x]:
+            end[up[x]] = end[x]
+    for i in range(1, size):
+        e = end[i]
+        yield (
+            pre[:i] + (0,) + pre[i:e] + (k,) + pre[e:],
+            up[: i + 1]  # w takes v's parent
+            + (i,)
+            + tuple([p + 1 for p in up[i + 1 : e]])
+            + (i,)
+            + tuple([p if p < i else p + 2 for p in up[e:]]),
+        )
+
+
+def _preorders(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(pre, up) of every trivalent tree on leaves 1..n, depth first; see _grow."""
+    if n == 3:
+        yield (1, 0, 2, 3), (-1, 0, 1, 1)
+        return
+    for pre, up in _preorders(n - 1):
+        yield from _grow(pre, up, n)
+
+
+def enumerate_trivalent(n: int) -> list[LabeledTree]:
+    """All (2n-5)!! trivalent trees on leaves 1..n, in a fixed canonical order.
+
+    Grown from the 3-leaf star by inserting leaf k = 4, ..., n into every
+    edge of every tree on leaves 1..k-1; removing the highest leaf
+    inverts the step, so each tree shows up exactly once.  Each child's
+    canonical form is read off its parent's, never recomputed: inserting
+    the highest leaf into the edge above a vertex v leaves every smallest
+    leaf below in place, so the child's preorder from leaf 1 is the
+    parent's with the new vertex just before v and the new leaf just
+    after v's subtree (see _grow).
+
+    The trees are sorted by the leaf-1 sides of their internal splits:
+    each side is the sorted tuple of leaves off the subtree below an
+    internal edge, and a tree's key lists its sides in ascending order,
+    the order in which edge_ids lists its internal edges.
     """
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
-    trees = [LabeledTree(3, ((1, 4), (2, 4), (3, 4)))]
-    for k in range(4, n + 1):
-        grown: list[LabeledTree] = []
-        for t in trees:
-            # shift internal ids past the new leaf label k
-            shift = lambda v: v + 1 if v > t.n else v
-            base = [(shift(u), shift(v)) for u, v in t.edges]
-            fresh = max(max(u, v) for u, v in base) + 1
-            for u, v in base:
-                edges = [e for e in base if e != (u, v)]
-                edges += [(u, fresh), (v, fresh), (k, fresh)]
-                grown.append(LabeledTree(k, tuple(edges)))
-        trees = grown
-
-    # the leaf-1 sides of the internal splits, sorted as edge_ids sorts them
-    trees.sort(key=lambda t: tuple(side for side, _ in t._internal_edges_by_side()))
-    return trees
+    sides = _LeafOneSides(n)
+    # one shared tuple per edge (min, max) of labels
+    pair = [[(a, b) if a < b else (b, a) for b in range(2 * n - 1)] for a in range(2 * n - 1)]
+    keyed = []
+    for pre, up in _preorders(n):
+        label = count(n + 1).__next__
+        lab = [x or label() for x in pre]
+        below = [1 << x if x else 0 for x in pre]
+        for x in range(len(pre) - 1, 1, -1):
+            below[up[x]] |= below[x]
+        # the edge at leaf 1 runs to position 1; internal edges hang below positions 2..
+        key = sorted([sides[m] for x, m in zip(pre[2:], below[2:]) if not x])
+        keyed.append((key, tuple(sorted([pair[lab[p]][v] for p, v in zip(up[1:], lab[1:])]))))
+    keyed.sort(key=itemgetter(0))
+    return [LabeledTree._from_canonical(n, edges) for _, edges in keyed]
 
 
 def contract_edge(t: LabeledTree, eid: EdgeId) -> LabeledTree:

@@ -6,7 +6,8 @@ content formula for graded dimensions, degree-constrained multigraph
 enumeration for semigroup membership, minor evaluation for polynomial
 identities, plain exhaustive enumeration for graded counts, and a
 breadth-first search on the edge list for the leaves on each side of an
-edge.
+edge, and leaf insertion on plain edge lists, canonicalized by the
+validating constructor, for the enumeration of trivalent trees.
 """
 
 from __future__ import annotations
@@ -55,6 +56,33 @@ def side_away_from_leaf_1(t: LabeledTree, u: int, v: int) -> frozenset[int]:
                 reached.add(y)
                 queue.append(y)
     return frozenset(i for i in range(1, t.n + 1) if i not in reached)
+
+
+def grown_trivalent_trees(n: int) -> list[LabeledTree]:
+    """Every trivalent tree on leaves 1..n, in the order enumerate_trivalent documents.
+
+    Grows plain edge lists from the 3-leaf star by replacing each edge
+    {u, v} of each tree on leaves 1..k-1 with {u, w}, {v, w}, {k, w} for a
+    fresh vertex w, canonicalizes every result through the validating
+    LabeledTree constructor, and sorts by the leaf-1 sides of the
+    internal edges, each side found by side_away_from_leaf_1.
+    """
+    grown = [[(1, n + 1), (2, n + 1), (3, n + 1)]]
+    for k in range(4, n + 1):
+        w = n + k - 2
+        grown = [
+            edges[:x] + edges[x + 1 :] + [(u, w), (v, w), (k, w)]
+            for edges in grown
+            for x, (u, v) in enumerate(edges)
+        ]
+    leaves = frozenset(range(1, n + 1))
+
+    def splits(t: LabeledTree) -> list[tuple[int, ...]]:
+        return sorted(
+            tuple(sorted(leaves - side_away_from_leaf_1(t, u, v))) for u, v in t.edges if u > n
+        )
+
+    return sorted((LabeledTree(n, edges) for edges in grown), key=splits)
 
 
 def hook_content_dim(n: int, d: int) -> int:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -252,6 +253,34 @@ def test_memo_does_not_skip_the_order_check():
     for bad in ([1, 2, 3, 4], (5, 4, 3, 2)):
         with pytest.raises(ValueError, match=r"^labels \[\d\] not in the circular order$"):
             straighten(m, order=bad)
+
+
+def test_straighten_refuses_a_repeated_label_in_the_order():
+    f = p(1, 3) * p(2, 4)
+    # without the check, [1, 2, 1, 4, 3] would act as the order 2, 1, 4, 3
+    assert straighten(f, order=[2, 1, 4, 3]) == p(1, 2) * p(3, 4) + p(1, 4) * p(2, 3)
+    assert straighten(f, order=[1, 2, 4, 3]) == f
+    before = _unit_normal_form.cache_info()
+    for bad, named in (([1, 2, 1, 4, 3], "[1]"), ((4, 3, 2, 1, 3, 4), "[3, 4]")):
+        with pytest.raises(ValueError, match=rf"^labels {re.escape(named)} repeat in the circular order$"):
+            straighten(f, order=bad)
+    after = _unit_normal_form.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    # a crossing-free or label-free polynomial is checked all the same
+    with pytest.raises(ValueError, match=r"repeat in the circular order"):
+        straighten(p(1, 2) * p(3, 4), order=[1, 2, 3, 4, 2])
+    with pytest.raises(ValueError, match=r"repeat in the circular order"):
+        straighten(PlueckerPolynomial.zero(), order=[1, 1])
+
+
+def test_is_noncrossing_refuses_a_repeated_label_in_the_order():
+    m = PlueckerMonomial.of([(1, 3), (2, 4)])
+    assert is_noncrossing(m, order=[1, 3, 2, 4])
+    for bad in ([1, 3, 2, 4, 3], [1, 1, 3, 2, 4], [1, 2, 1, 4, 3]):
+        with pytest.raises(ValueError, match=r"^labels \[\d\] repeat in the circular order$"):
+            is_noncrossing(m, order=bad)
+    with pytest.raises(ValueError, match=r"repeat in the circular order"):
+        is_noncrossing(PlueckerMonomial.one(), order=[5, 5])
 
 
 def test_memo_is_bounded_and_hit_by_a_recurring_product():

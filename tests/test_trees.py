@@ -1,6 +1,11 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +22,7 @@ from grasstrop import (
     tree_to_json,
     tree_to_newick,
 )
-from oracles import side_away_from_leaf_1
+from oracles import grown_trivalent_trees, side_away_from_leaf_1
 from util import caterpillar, grown_tree
 
 
@@ -57,6 +62,40 @@ def test_enumeration_deterministic():
     a = [tree_to_json(t) for t in enumerate_trivalent(6)]
     b = [tree_to_json(t) for t in enumerate_trivalent(6)]
     assert a == b
+
+
+def test_enumeration_matches_grown_oracle():
+    for n in range(3, 9):
+        trees = enumerate_trivalent(n)
+        assert [t.edges for t in trees] == [t.edges for t in grown_trivalent_trees(n)]
+        for t in trees:
+            ref = LabeledTree(n, t.edges)
+            assert t.edge_ids == ref.edge_ids
+            assert t.planar_leaf_order == ref.planar_leaf_order
+            assert t.internal_splits == ref.internal_splits
+            assert t._rooted == ref._rooted
+
+
+def test_enumeration_survives_optimized_mode():
+    # python -O strips assert statements; enumerate_trivalent builds its
+    # trees through an internal constructor that skips validation, and must
+    # list the same trees either way
+    code = (
+        "import hashlib\n"
+        "from grasstrop import enumerate_trivalent, tree_to_json\n"
+        "lines = ''.join(tree_to_json(t) + '\\n' for t in enumerate_trivalent(7))\n"
+        "print(hashlib.sha256(lines.encode()).hexdigest())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, (flags, proc.stderr + proc.stdout)
+        outputs.append(proc.stdout)
+    lines = "".join(tree_to_json(t) + "\n" for t in enumerate_trivalent(7))
+    assert outputs == [hashlib.sha256(lines.encode()).hexdigest() + "\n"] * 2
 
 
 def test_tree_shape_invariants():
