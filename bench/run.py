@@ -11,8 +11,8 @@ input afresh (untimed), then times its library calls with
 `time.perf_counter`, five times; the file records every run and the
 median, together with the Python version, the commit
 and a check of each result, so that a wrong answer cannot pass as a
-fast one.  The cases are the stress cases of ROADMAP.md's baseline
-and two valuation cases:
+fast one.  The cases are the stress cases of ROADMAP.md's baseline,
+two valuation cases and the Gorenstein check of the acceptance test:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4;
@@ -31,7 +31,11 @@ and two valuation cases:
 - `axioms-n8`: both valuations of f, g, f*g and f+g for 100 seeded
   random 8-leaf trees, weightings, edge orders and polynomials f, g
   (up to 3 terms of degree up to 3), checked for multiplicativity and
-  the ultrametric inequality.
+  the ultrametric inequality;
+- `gorenstein-n4-6`: `gorenstein_witness_check` on each of the 123
+  trivalent trees with 4, 5 or 6 leaves, with the arguments of the
+  acceptance test (100 samples, the tree's index as seed), each checked
+  True.
 
 Only the standard library is used.
 """
@@ -217,6 +221,15 @@ def _enumeration_holds(trees, n: int = 8) -> bool:
     return len(keys) == gt.double_factorial(2 * n - 5) and all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def _gorenstein_trees():
+    """Each tree with 4, 5 or 6 leaves and its index among the trees with as many leaves."""
+    return [(t, idx) for n in (4, 5, 6) for idx, t in enumerate(gt.enumerate_trivalent(n))]
+
+
+def _gorenstein(trees):
+    return [gt.gorenstein_witness_check(t, 100, seed=idx) for t, idx in trees]
+
+
 CASES = {
     "hilbert-n6-d4": _hilbert(lambda: gt.enumerate_trivalent(6)[0], 6, 4),
     "hilbert-caterpillar8-d3": _hilbert(lambda: _caterpillar(8), 8, 3),
@@ -233,6 +246,11 @@ CASES = {
         lambda v: v == (3, 3, 3, 3, 3, 3, 3, 3, 6, 9, 12, 9, 6),
     ),
     "axioms-n8": (_axioms_setup, _axioms, _axioms_hold),
+    "gorenstein-n4-6": (
+        _gorenstein_trees,
+        _gorenstein,
+        lambda oks: len(oks) == 123 and all(ok is True for ok in oks),
+    ),
 }
 
 

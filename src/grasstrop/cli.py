@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import report as report_mod
 from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
@@ -34,15 +33,6 @@ from .valuation import valuation_matrix
 _MAX_LISTED_N = 9
 
 
-@dataclass(frozen=True)
-class Config:
-    """Resolved command options: input and output paths and the format."""
-
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str | None = None
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -50,27 +40,17 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit(cfg: Config, text: str) -> None:
-    if cfg.output_path and cfg.output_path != "-":
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config(args: argparse.Namespace) -> Config:
-    return Config(
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        fmt=getattr(args, "format", None),
-    )
-
-
-def _read_vector(cfg: Config) -> DissimilarityVector:
-    if cfg.input_path is None:
-        raise ValueError("missing --input (use - for stdin)")
-    text = _read_text(cfg.input_path)
-    fmt = cfg.fmt
+def _read_vector(args: argparse.Namespace) -> DissimilarityVector:
+    text = _read_text(args.input)
+    fmt = args.format
     if fmt is None:
         fmt = "json" if text.lstrip().startswith("{") else "tsv"
     if fmt == "json":
@@ -79,78 +59,70 @@ def _read_vector(cfg: Config) -> DissimilarityVector:
 
 
 def cmd_trees_enumerate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if args.count:
         if args.n < 3:
             raise ValueError(f"need at least 3 leaves, got {args.n}")
         # there are (2n-5)!! trivalent trees on n labeled leaves
-        _emit(cfg, f"{double_factorial(2 * args.n - 5)}\n")
+        _emit(args, f"{double_factorial(2 * args.n - 5)}\n")
         return 0
     if args.n > _MAX_LISTED_N:
         raise ValueError(
             f"refusing to list the {double_factorial(2 * args.n - 5)} trees on {args.n} leaves "
             f"(at most n={_MAX_LISTED_N}); use --count to count them"
         )
-    fmt = cfg.fmt or "json"
+    fmt = args.format or "json"
     lines = []
     for t in enumerate_trivalent(args.n):
         lines.append(tree_to_newick(t) if fmt == "newick" else tree_to_json(t))
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_trop_dissim(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.input_path is None:
-        raise ValueError("missing --input (use - for stdin)")
-    r = EdgeWeighting.from_json_dict(json.loads(_read_text(cfg.input_path)))
+    r = EdgeWeighting.from_json_dict(json.loads(_read_text(args.input)))
     d = dissimilarity(r)
-    if (cfg.fmt or "tsv") == "json":
-        _emit(cfg, d.to_json() + "\n")
+    if (args.format or "tsv") == "json":
+        _emit(args, d.to_json() + "\n")
     else:
-        _emit(cfg, d.to_tsv() + "\n")
+        _emit(args, d.to_tsv() + "\n")
     return 0
 
 
 def cmd_trop_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    d = _read_vector(cfg)
+    d = _read_vector(args)
     ok, witnesses = is_tropical_point(d)
     if ok:
         lines = ["tropical: yes"]
         lines.extend("  " + w.describe() for w in witnesses)
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
         return 0
     (w,) = witnesses
-    _emit(cfg, "tropical: no\n  " + w.describe() + "\n")
+    _emit(args, "tropical: no\n  " + w.describe() + "\n")
     return 1
 
 
 def cmd_trop_reconstruct(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    d = _read_vector(cfg)
+    d = _read_vector(args)
     _, r = reconstruct_tree(d)
-    _emit(cfg, json.dumps(r.to_json_dict(), indent=2) + "\n")
+    _emit(args, json.dumps(r.to_json_dict(), indent=2) + "\n")
     return 0
 
 
 def cmd_val_matrix(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     t = tree_from_json(_read_text(args.tree))
     order = parse_edge_order(t, args.order) if args.order else t.edge_ids
     m = valuation_matrix(t, order)
-    _emit(cfg, m.to_tsv() + "\n")
+    _emit(args, m.to_tsv() + "\n")
     return 0
 
 
 def cmd_paper_example(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if args.emit:
-        _emit(cfg, report_mod.build_report())
+        _emit(args, report_mod.build_report())
         return 0
     ok, text = report_mod.check_report()
     if ok:
-        _emit(cfg, text)
+        _emit(args, text)
         return 0
     sys.stderr.write(text)
     return 1

@@ -11,7 +11,6 @@ every vertex of a planar embedding.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -85,7 +84,7 @@ class SigmaWeight:
         bad = set(values) - set(tree.edge_ids)
         if bad:
             raise ValueError(f"unknown edge ids: {sorted(bad)}")
-        return cls(tree, tuple(int(values.get(e, 0)) for e in tree.edge_ids))
+        return cls(tree, tuple(values.get(e, 0) for e in tree.edge_ids))
 
     def value(self, eid: EdgeId) -> int:
         try:
@@ -258,6 +257,60 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
     return out
 
 
+def _table_walk(
+    t: LabeledTree, leaf_table: dict[int, list[tuple[int, int]]], cap: int, slack: int
+) -> dict[int, list[tuple[int, int]]]:
+    """Post-order table walk from leaf 1; returns the table of leaf 1's edge.
+
+    The table of an edge maps each leaf sum below it to the list of
+    (edge value, number of weights on the subtree below) with a nonzero
+    count; every leaf gets leaf_table.  An internal vertex whose children
+    carry b and c lets its parent edge take the values
+    |b-c|+slack .. min(b+c-slack, cap) of the parity of b+c: slack 0 is the
+    vertex rule of the semigroup, slack 2 its strict form (for an even sum,
+    |b-c| < a < b+c).  Leaf sums above cap are dropped.  Each pair of child
+    entries adds its count to a whole range of values at once, as a
+    difference at both ends that a running sum over values of one parity
+    spreads out.
+    """
+    _, children, _ = t._rooted
+    root_child = t.adjacency[1][0]
+    order = [root_child]
+    for v in order:
+        order.extend(children[v])
+    tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for v in reversed(order):
+        if v <= t.n:
+            tables[v] = leaf_table
+            continue
+        left, right = children[v]
+        right_table = tables.pop(right).items()
+        diffs: dict[int, list[int]] = {}
+        for sb, row_b in tables.pop(left).items():
+            for sc, row_c in right_table:
+                stot = sb + sc
+                if stot > cap:
+                    continue
+                diff = diffs.get(stot)
+                if diff is None:
+                    diff = diffs[stot] = [0] * (cap + 3)
+                for b, cb in row_b:
+                    for c, cc in row_c:
+                        lo, hi = abs(b - c) + slack, min(b + c - slack, cap)
+                        if lo <= hi:
+                            # hi - (hi - lo) % 2 is the last value of lo's parity
+                            count = cb * cc
+                            diff[lo] += count
+                            diff[hi - (hi - lo) % 2 + 2] -= count
+        out: dict[int, list[tuple[int, int]]] = {}
+        for stot, diff in diffs.items():
+            for a in range(2, cap + 1):
+                diff[a] += diff[a - 2]
+            out[stot] = [(a, count) for a, count in enumerate(diff[: cap + 1]) if count]
+        tables[v] = out
+    return tables[root_child]
+
+
 def graded_count(
     t: LabeledTree, *, plucker_degree: int | None = None, box_bound: int | None = None
 ) -> int:
@@ -271,83 +324,42 @@ def graded_count(
         raise ValueError("give exactly one of plucker_degree= or box_bound=")
     if not t.is_trivalent:
         raise ValueError("graded counts are defined for trivalent trees")
-    # Tables map (edge value, leaf sum below) -> count.  Box mode keeps the
-    # leaf sum at 0 and caps edge values at m; degree mode caps both at 2d.
+    # Box mode keeps the leaf sum at 0 and caps edge values at m; degree
+    # mode caps both at 2d, and leaf 1's value must bring the sum to 2d.
     if box_bound is not None:
         if box_bound < 0:
             raise ValueError(f"box bound must be nonnegative, got {box_bound}")
-        cap, top = box_bound, 0
-        leaf_table = {(a, 0): 1 for a in range(cap + 1)}
-    else:
-        if plucker_degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {plucker_degree}")
-        cap = top = 2 * plucker_degree
-        leaf_table = {(a, a): 1 for a in range(cap + 1)}
+        leaf_table = {0: [(a, 1) for a in range(box_bound + 1)]}
+        return _count_all(_table_walk(t, leaf_table, box_bound, 0))
+    if plucker_degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {plucker_degree}")
+    top = 2 * plucker_degree
+    leaf_table = {a: [(a, 1)] for a in range(top + 1)}
+    table = _table_walk(t, leaf_table, top, 0)
+    return sum(count for stot, row in table.items() for a, count in row if a + stot == top)
 
-    _, children, _ = t._rooted
-    root_child = t.adjacency[1][0]
-    order = [root_child]
-    for v in order:
-        order.extend(children[v])
-    tables: dict[int, dict[tuple[int, int], int]] = {}
-    for v in reversed(order):
-        if v <= t.n:
-            tables[v] = leaf_table
-            continue
-        left, right = children[v]
-        right_table = tables.pop(right).items()
-        out: dict[tuple[int, int], int] = {}
-        for (b, sb), cb in tables.pop(left).items():
-            for (c, sc), cc in right_table:
-                stot = sb + sc
-                if stot > top:
-                    continue
-                for a in range(abs(b - c), min(b + c, cap) + 1, 2):
-                    key = (a, stot)
-                    out[key] = out.get(key, 0) + cb * cc
-        tables[v] = out
-    counts = tables[root_child]
-    if box_bound is not None:
-        return sum(counts.values())
-    return sum(cnt for (a, stot), cnt in counts.items() if a + stot == top)
+
+def _count_all(table: dict[int, list[tuple[int, int]]]) -> int:
+    return sum(count for row in table.values() for _, count in row)
+
+
+def _interior_count(t: LabeledTree, m: int) -> int:
+    """Weights at level m in the interior: every edge value in 1..m-1, even
+    vertex sums and strict triangle inequalities."""
+    return _count_all(_table_walk(t, {0: [(a, 1) for a in range(1, m)]}, m - 1, 2))
 
 
 def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> bool:
-    """Sample interior lattice points (tau, m) and test the canonical shift.
+    """Check the Gorenstein shift exactly on the levels m = 3..12.
 
-    Interior means every edge value is strictly between 0 and m and all
-    triangle inequalities are strict; the check is that (tau - 2, m - 3)
-    always lands back in the graded semigroup.  For an even vertex sum,
-    |a-b| < c < a+b holds exactly when |a-b| <= c-2 <= a+b-4, so the
-    values are drawn already shifted by -2 and one vertex test decides
-    both interiority and the shift.  A shifted value is at most m - 3 by
-    the draw range, so every sample that is found passes; the check fails
-    only by raising RuntimeError when no interior point turns up.
+    The interior at level m (every edge value in 1..m-1, even vertex sums,
+    strict triangle inequalities) is the box at level m-3 shifted by 2 on
+    every edge (Buczynska-Wisniewski): for an even sum, |a-b| < c < a+b
+    holds exactly when |a-b| <= c-2 <= a+b-4.  Both sides are counted by
+    the same table walk, and the result is False at the first level where
+    the interior count differs from graded_count(t, box_bound=m-3).
+    `samples` and `seed` are accepted for compatibility and no longer used.
     """
     if not t.is_trivalent:
         raise ValueError("the witness check is defined for trivalent trees")
-    rng = random.Random(seed)
-    edge_count = len(t.edge_ids)
-    stars = t._stars
-    # m uniform in 3..12, then each edge value uniform in 1..m-1, drawn by
-    # rejection on getrandbits: the same draws as rng.randint(3, 12) and
-    # rng.randint(1, m - 1), without randint's per-call overhead.
-    getrandbits = rng.getrandbits
-    for _ in range(samples):
-        for _attempt in range(20000):
-            r = getrandbits(4)
-            while r >= 10:
-                r = getrandbits(4)
-            m = 3 + r
-            width, bits = m - 1, (m - 1).bit_length()
-            shifted = []
-            for _ in range(edge_count):
-                r = getrandbits(bits)
-                while r >= width:
-                    r = getrandbits(bits)
-                shifted.append(r - 1)
-            if _first_violation(stars, shifted) is None:
-                break
-        else:
-            raise RuntimeError("could not sample an interior point; ranges too tight")
-    return True
+    return all(_interior_count(t, m) == graded_count(t, box_bound=m - 3) for m in range(3, 13))

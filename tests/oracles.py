@@ -4,9 +4,9 @@ Each oracle recomputes a quantity through a route the library does not
 use: Laurent character arithmetic for invariant dimensions, the hook
 content formula for graded dimensions, degree-constrained multigraph
 enumeration for semigroup membership, minor evaluation for polynomial
-identities, plain exhaustive enumeration for graded counts, and a
-breadth-first search on the edge list for the leaves on each side of an
-edge, and leaf insertion on plain edge lists, canonicalized by the
+identities, plain exhaustive enumeration for graded and interior counts,
+a breadth-first search on the edge list for the leaves on each side of
+an edge, and leaf insertion on plain edge lists, canonicalized by the
 validating constructor, for the enumeration of trivalent trees.
 """
 
@@ -168,34 +168,51 @@ def _vertex_ok(vals: tuple[int, int, int]) -> bool:
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
 
 
+def _stars(t: LabeledTree) -> list[tuple[int, ...]]:
+    """Per internal vertex, the positions in t.edge_ids of its incident edges."""
+    pos = {eid: k for k, eid in enumerate(t.edge_ids)}
+    return [tuple(pos[t.edge_id_of(v, u)] for u in t.adjacency[v]) for v in t.internal_vertices]
+
+
 def brute_force_box_count(t: LabeledTree, m: int) -> int:
     """Count semigroup weights with all entries <= m by direct enumeration.
 
     Checks parity and triangle inequalities at every internal vertex
     straight from the adjacency, without the library's membership code.
     """
-    order = t.edge_ids
-    pos = {eid: k for k, eid in enumerate(order)}
-    stars = []
-    for v in t.internal_vertices:
-        stars.append(tuple(pos[t.edge_id_of(v, u)] for u in t.adjacency[v]))
+    stars = _stars(t)
     count = 0
-    for vec in product(range(m + 1), repeat=len(order)):
+    for vec in product(range(m + 1), repeat=len(t.edge_ids)):
         if all(_vertex_ok(tuple(vec[k] for k in star)) for star in stars):
+            count += 1
+    return count
+
+
+def brute_force_interior_count(t: LabeledTree, m: int) -> int:
+    """Count the interior weights at level m by direct enumeration.
+
+    Every edge value lies in 1..m-1, and at every internal vertex the sum
+    is even and each value is strictly less than the sum of the other two
+    and strictly more than their difference.
+    """
+    stars = _stars(t)
+    count = 0
+    for vec in product(range(1, m), repeat=len(t.edge_ids)):
+        for star in stars:
+            a, b, c = (vec[k] for k in star)
+            if (a + b + c) % 2 or not abs(a - b) < c < a + b:
+                break
+        else:
             count += 1
     return count
 
 
 def brute_force_degree_count(t: LabeledTree, d: int) -> int:
     """Count semigroup weights with leaf sum 2d by direct enumeration."""
-    order = t.edge_ids
-    pos = {eid: k for k, eid in enumerate(order)}
-    stars = []
-    for v in t.internal_vertices:
-        stars.append(tuple(pos[t.edge_id_of(v, u)] for u in t.adjacency[v]))
+    stars = _stars(t)
     n_leaves = t.n
     count = 0
-    for vec in product(range(2 * d + 1), repeat=len(order)):
+    for vec in product(range(2 * d + 1), repeat=len(t.edge_ids)):
         if sum(vec[:n_leaves]) != 2 * d:
             continue
         if all(_vertex_ok(tuple(vec[k] for k in star)) for star in stars):

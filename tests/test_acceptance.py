@@ -30,6 +30,7 @@ from grasstrop import (
     straighten,
     tropical_weight,
 )
+from grasstrop.semigroup import _interior_count
 from grasstrop.trees import LabeledTree, leaf_path
 from oracles import (
     achievable_weights,
@@ -277,10 +278,15 @@ def test_criterion_10_gorenstein_witness(capsys):
     for n in (4, 5, 6):
         for idx, t in enumerate(trees_cached(n)):
             if not gorenstein_witness_check(t, 100, seed=idx):
-                failures.append(f"n={n} tree {t.edges}")
+                counts = ((m, _interior_count(t, m), graded_count(t, box_bound=m - 3)) for m in range(3, 13))
+                m, interior, box = next(c for c in counts if c[1] != c[2])
+                failures.append(
+                    f"n={n} tree {t.edges}: first level m={m} has {interior} interior points, "
+                    f"box_bound={m - 3} has {box}"
+                )
     dt = time.perf_counter() - t0
     ok = not failures and dt < 30.0
     verdict(
         capsys, 10, ok,
-        failures or f"100 samples per tree, all 123 trees n=4,5,6, {dt:.1f}s",
+        failures or f"interior count = box count at m-3 for levels m=3..12, all 123 trees n=4,5,6, {dt:.1f}s",
     )

@@ -21,11 +21,13 @@ from oracles import (
     achievable_weights,
     brute_force_box_count,
     brute_force_degree_count,
+    brute_force_interior_count,
     character_invariant_dim,
     hook_content_dim,
 )
+from grasstrop import semigroup
 from grasstrop.semigroup import _tensor_invariant_dim
-from util import caterpillar, random_tree, trees_cached
+from util import caterpillar, grown_tree, random_tree, trees_cached
 
 
 def sigma(k):
@@ -235,13 +237,35 @@ def test_contraction_count_identity():
         assert total == invariant_dim(tc, sc)
 
 
+def test_interior_count_matches_brute_force_and_shifted_box():
+    for n, top in ((4, 7), (5, 5)):
+        for t in trees_cached(n):
+            for m in range(3, top + 1):
+                expect = brute_force_interior_count(t, m)
+                assert semigroup._interior_count(t, m) == expect
+                assert brute_force_box_count(t, m - 3) == expect
+
+
 def test_gorenstein_witness_check():
     t = sigma(1)
     two = s_of(t, {eid: 2 for eid in t.edge_ids})
     assert in_semigroup(t, two)
     for n in (4, 5):
         for t in trees_cached(n):
-            assert gorenstein_witness_check(t, 40, seed=7)
+            assert gorenstein_witness_check(t, 40, seed=7) is True
+    # the first 8-leaf tree with 10 samples and seed 0 made the earlier
+    # rejection sampler give up
+    assert gorenstein_witness_check(trees_cached(8)[0], 10, seed=0) is True
+    rng = random.Random(59)
+    for n in (8, 8, 12, 12):
+        assert gorenstein_witness_check(grown_tree(rng, n), 10, seed=rng.randrange(100)) is True
+
+
+def test_gorenstein_witness_check_fails_on_a_mismatch(monkeypatch):
+    t = sigma(2)
+    real = semigroup._interior_count
+    monkeypatch.setattr(semigroup, "_interior_count", lambda u, m: real(u, m) + (m == 9))
+    assert gorenstein_witness_check(t, 10) is False
 
 
 def test_sigma_weight_validation_and_json():
@@ -252,6 +276,9 @@ def test_sigma_weight_validation_and_json():
         SigmaWeight(t, (True, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         s_of(t, {"bogus": 1})
+    for bad in ({"l1": 2.7}, {"l2": True}, {"l1": 2.0}, {"l1": 2.7, "l2": True}):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            s_of(t, bad)
     s = s_of(t, {"l1": 2, "e3-4": 3})
     assert SigmaWeight.from_json_dict(s.to_json_dict()) == s
     for bad in (2.0, 2.5, True):
