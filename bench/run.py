@@ -12,7 +12,8 @@ input afresh (untimed), then times its library calls with
 median, together with the Python version, the commit
 and a check of each result, so that a wrong answer cannot pass as a
 fast one.  The cases are the stress cases of ROADMAP.md's baseline,
-two valuation cases and the Gorenstein check of the acceptance test:
+two valuation cases, the Gorenstein check of the acceptance test and
+the tropical layer on a 32-leaf tree:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4;
@@ -35,7 +36,15 @@ two valuation cases and the Gorenstein check of the acceptance test:
 - `gorenstein-n4-6`: `gorenstein_witness_check` on each of the 123
   trivalent trees with 4, 5 or 6 leaves, with the arguments of the
   acceptance test (100 samples, the tree's index as seed), each checked
-  True.
+  True;
+- `dissimilarity-n32`, `four-point-n32`, `reconstruct-n32`,
+  `from-json-n32` and `from-tsv-n32`: the tropical layer on one seeded
+  32-leaf weighted tree (leaf weights of either sign, internal weights
+  positive) and its dissimilarity vector d.  `dissimilarity` is checked
+  against sums of weights along `leaf_path`, `is_tropical_point` to pass
+  on all 35960 quadruples, `reconstruct_tree` to return the input tree
+  and weights, and both parsers to read `d.to_json()` and `d.to_tsv()`
+  back to d.
 
 Only the standard library is used.
 """
@@ -221,6 +230,35 @@ def _enumeration_holds(trees, n: int = 8) -> bool:
     return len(keys) == gt.double_factorial(2 * n - 5) and all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def _weighted_tree32() -> gt.EdgeWeighting:
+    rng = random.Random(32)
+    t = _random_tree(rng, 32)
+    return gt.EdgeWeighting.of(t, {
+        e: Fraction(rng.randint(-4, 6) if e.startswith("l") else rng.randint(1, 6), rng.randint(1, 3))
+        for e in t.edge_ids
+    })
+
+
+def _path_sums_hold(rd) -> bool:
+    r, d = rd
+    return d.as_dict() == {
+        (i, j): sum(r.weight(e) for e in gt.leaf_path(r.tree, i, j))
+        for i, j in gt.leaf_pairs(r.tree.n)
+    }
+
+
+def _tropical_case(run, check, text=None):
+    """A case on d = dissimilarity of _weighted_tree32(): run gets d, or
+    d rendered by text, and check gets (weighting, d, result)."""
+
+    def setup():
+        r = _weighted_tree32()
+        d = gt.dissimilarity(r)
+        return r, d, d if text is None else text(d)
+
+    return setup, lambda arg: (arg[0], arg[1], run(arg[2])), lambda res: check(*res)
+
+
 def _gorenstein_trees():
     """Each tree with 4, 5 or 6 leaves and its index among the trees with as many leaves."""
     return [(t, idx) for n in (4, 5, 6) for idx, t in enumerate(gt.enumerate_trivalent(n))]
@@ -250,6 +288,29 @@ CASES = {
         _gorenstein_trees,
         _gorenstein,
         lambda oks: len(oks) == 123 and all(ok is True for ok in oks),
+    ),
+    "dissimilarity-n32": (
+        _weighted_tree32,
+        lambda r: (r, gt.dissimilarity(r)),
+        _path_sums_hold,
+    ),
+    "four-point-n32": _tropical_case(
+        gt.is_tropical_point,
+        lambda r, d, res: res[0] is True and len(res[1]) == comb(32, 4),
+    ),
+    "reconstruct-n32": _tropical_case(
+        gt.reconstruct_tree,
+        lambda r, d, res: res == (r.tree, r),
+    ),
+    "from-json-n32": _tropical_case(
+        gt.DissimilarityVector.from_json,
+        lambda r, d, res: res == d,
+        text=gt.DissimilarityVector.to_json,
+    ),
+    "from-tsv-n32": _tropical_case(
+        gt.DissimilarityVector.from_tsv,
+        lambda r, d, res: res == d,
+        text=gt.DissimilarityVector.to_tsv,
     ),
 }
 

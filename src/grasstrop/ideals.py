@@ -42,7 +42,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 from .plucker import PlueckerMonomial, PlueckerPolynomial
 from .semigroup import graded_count
 from .trees import EdgeId, LabeledTree
-from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
+from .tropical import DissimilarityVector, EdgeWeighting, _pair_position, leaf_pairs
 from .valuation import monomial_weight
 
 
@@ -261,24 +261,20 @@ def _toric_generators(t: LabeledTree) -> list[_Binomial]:
     """The initial binomials of the three-term relations of t.
 
     This is `initial_form(three_term_relation(i, j, k, l), d)` for the
-    dissimilarity vector d of `internal_indicator(t)`, on integers.
-    Each binomial is a pair of (monomial, coefficient) terms, a monomial
-    written as the sorted tuple of its variable indices with repetition,
-    where p[i,j] has index k in the lexicographic order of the pairs.
+    dissimilarity vector d of `internal_indicator(t)`, on integers: d_ij
+    is the number of internal edges, those at index n or above in
+    edge_ids, on the path from i to j.  Each binomial is a pair of
+    (monomial, coefficient) terms, a monomial written as the sorted tuple
+    of its variable indices with repetition, where p[i,j] has the index
+    of (i, j) in leaf_pairs(n).
     """
     n = t.n
-    index = {p: k for k, p in enumerate(combinations(range(1, n + 1), 2))}
-    # the entries of d are integers, in the same lexicographic pair order
-    w = [int(v) for v in dissimilarity(internal_indicator(t)).values]
+    w = [sum(k >= n for k in t._path(i, j)) for i, j in leaf_pairs(n)]
     gens: list[_Binomial] = []
     for quad in combinations(range(1, n + 1), 4):
-        i, j, k, l = quad
+        ij, ik, il, jk, jl, kl = (_pair_position(n, a, b) for a, b in combinations(quad, 2))
         # p_ij p_kl - p_ik p_jl + p_il p_jk, each product already sorted
-        terms = (
-            ((index[i, j], index[k, l]), 1),
-            ((index[i, k], index[j, l]), -1),
-            ((index[i, l], index[j, k]), 1),
-        )
+        terms = (((ij, kl), 1), ((ik, jl), -1), ((il, jk), 1))
         top = max(w[a] + w[b] for (a, b), _ in terms)
         kept = tuple(term for term in terms if w[term[0][0]] + w[term[0][1]] == top)
         if len(kept) != 2:

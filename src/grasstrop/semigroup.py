@@ -81,16 +81,10 @@ class SigmaWeight:
     @classmethod
     def of(cls, tree: LabeledTree, values: Mapping[EdgeId, int]) -> "SigmaWeight":
         """Build from a (possibly partial) map; missing edges get 0."""
-        bad = set(values) - set(tree.edge_ids)
-        if bad:
-            raise ValueError(f"unknown edge ids: {sorted(bad)}")
-        return cls(tree, tuple(values.get(e, 0) for e in tree.edge_ids))
+        return cls(tree, tuple(tree._full_values(values)))
 
     def value(self, eid: EdgeId) -> int:
-        try:
-            return self.values[self.tree._edge_index[eid]]
-        except KeyError:
-            raise ValueError(f"unknown edge id {eid!r}") from None
+        return self.values[self.tree._position(eid)]
 
     def as_dict(self) -> dict[EdgeId, int]:
         return dict(zip(self.tree.edge_ids, self.values))
@@ -147,11 +141,7 @@ def in_semigroup(t: LabeledTree, s: SigmaWeight) -> bool:
 
 def omega(t: LabeledTree, i: int, j: int) -> SigmaWeight:
     """Indicator weight of the path between leaves i and j."""
-    if not (1 <= i <= t.n and 1 <= j <= t.n):
-        raise ValueError(f"leaves must lie in 1..{t.n}, got ({i}, {j})")
-    if i == j:
-        raise ValueError("leaf path needs two distinct leaves")
-    return SigmaWeight(t, tuple(t._edge_counts((((min(i, j), max(i, j)), 1),))))
+    return SigmaWeight(t, tuple(t._edge_counts(((t._leaf_pair(i, j), 1),))))
 
 
 @dataclass(frozen=True)

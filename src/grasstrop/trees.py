@@ -20,6 +20,11 @@ e.g. "e3-4" for the split {1,2}|{3,4}.  Naming internal edges by a pair of
 representative leaves is not enough: on the six-leaf tree whose three
 cherries hang off one central vertex path, the splits {1,2}|{3,4,5,6} and
 {3,4}|{1,2,5,6} would both reduce to the representatives (1, 3).
+
+Edge ids, edge orders and leaf/internal status are resolved only here:
+other modules ask `LabeledTree` for the position of an id or of each id
+of an edge order, and an edge is internal exactly when its position is n
+or more.
 """
 
 from __future__ import annotations
@@ -307,11 +312,40 @@ class LabeledTree:
             raise ValueError(f"({u}, {v}) is not an edge of this tree")
         return self.edge_ids[k]
 
-    def _child(self, eid: EdgeId) -> int:
+    def _position(self, eid: EdgeId) -> int:
+        """The index of an edge id in edge_ids; leaf edges are those below n."""
         try:
-            return self._edge_child[self._edge_index[eid]]
+            return self._edge_index[eid]
         except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
+
+    def _full_values(self, partial: Mapping[EdgeId, object]) -> list:
+        """A map from some edge ids to values, as a list in edge_ids order with 0
+        for every edge it leaves out."""
+        out: list = [0] * len(self.edge_ids)
+        for eid, v in partial.items():
+            out[self._position(eid)] = v
+        return out
+
+    def _order_positions(self, order: Iterable[EdgeId]) -> tuple[int, ...]:
+        """The index in edge_ids of each id of an edge order, which must list
+        every edge exactly once."""
+        index = self._edge_index
+        positions = tuple(index.get(eid, -1) for eid in order)
+        if sorted(positions) != list(range(len(index))):
+            raise ValueError("edge order must be a permutation of the tree's edge ids")
+        return positions
+
+    def _leaf_pair(self, i: int, j: int) -> tuple[int, int]:
+        """Two distinct leaves, smaller first."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"leaves must lie in 1..{self.n}, got ({i}, {j})")
+        if i == j:
+            raise ValueError("leaf path needs two distinct leaves")
+        return (i, j) if i < j else (j, i)
+
+    def _child(self, eid: EdgeId) -> int:
+        return self._edge_child[self._position(eid)]
 
     def endpoints(self, eid: EdgeId) -> tuple[int, int]:
         v = self._child(eid)
@@ -353,10 +387,7 @@ class LabeledTree:
 
 def leaf_path(t: LabeledTree, i: int, j: int) -> frozenset[EdgeId]:
     """Ids of the edges on the unique path between leaves i and j."""
-    if not (1 <= i <= t.n and 1 <= j <= t.n):
-        raise ValueError(f"leaves must lie in 1..{t.n}, got ({i}, {j})")
-    if i == j:
-        raise ValueError("leaf path needs two distinct leaves")
+    t._leaf_pair(i, j)
     ids = t.edge_ids
     return frozenset(ids[k] for k in t._walk_path(i, j))
 
@@ -464,7 +495,7 @@ def enumerate_trivalent(n: int) -> list[LabeledTree]:
 
 def contract_edge(t: LabeledTree, eid: EdgeId) -> LabeledTree:
     """Merge the endpoints of an internal edge; leaf edges cannot contract."""
-    if not eid.startswith("e"):
+    if t._position(eid) < t.n:
         raise ValueError(f"cannot contract leaf edge {eid!r}")
     u, v = t.endpoints(eid)
     edges = []
@@ -639,8 +670,5 @@ def tree_from_newick(text: str) -> tuple[LabeledTree, dict[EdgeId, Fraction] | N
 def parse_edge_order(t: LabeledTree, text: str) -> tuple[EdgeId, ...]:
     """Parse a comma-separated edge order and check it permutes t's edges."""
     order = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if sorted(order) != sorted(t.edge_ids):
-        raise ValueError(
-            f"order must be a permutation of the {len(t.edge_ids)} edge ids of the tree"
-        )
+    t._order_positions(order)
     return order

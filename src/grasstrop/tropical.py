@@ -27,7 +27,42 @@ Rational = Fraction
 
 def leaf_pairs(n: int) -> list[tuple[int, int]]:
     """All pairs (i, j) with 1 <= i < j <= n in lexicographic order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def _pair_position(n: int, i: int, j: int) -> int:
+    """The index of the pair {i, j} in leaf_pairs(n)."""
+    a, b = (i, j) if i < j else (j, i)
+    if not 1 <= a < b <= n:
+        raise ValueError(f"({i}, {j}) is not a leaf pair for n={n}")
+    # (a - 1) * (2n - a) / 2 pairs start with a leaf below a
+    return (a - 1) * (2 * n - a) // 2 + b - a - 1
+
+
+def _pair_values(n: int, entries: Iterable[tuple[str, int, int, object]]) -> list[object]:
+    """The values of (where, i, j, value) entries, in leaf_pairs(n) order.
+
+    Every leaf pair must come exactly once, as (i, j) or (j, i); an error
+    about one entry starts with its `where`.
+    """
+    given: dict[tuple[int, int], object] = {}
+    for where, i, j, v in entries:
+        if i == j:
+            raise ValueError(f"{where}pair ({i}, {j}) has equal entries")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"{where}pair ({i}, {j}) is not a leaf pair for n={n}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in given:
+            raise ValueError(f"{where}duplicate pair {pair}")
+        given[pair] = v
+    # name at most 20: a large n with few entries lacks ~n^2/2 pairs
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    missing = list(itertools.islice((p for p in pairs if p not in given), 20))
+    if missing:
+        more = n * (n - 1) // 2 - len(given) - len(missing)
+        tail = f" and {more} more" if more else ""
+        raise ValueError(f"missing pairs: {missing}{tail}")
+    return [given[p] for p in leaf_pairs(n)]
 
 
 def _leaf_index(text: str) -> int:
@@ -36,6 +71,12 @@ def _leaf_index(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad leaf index {text!r}")
     return int(text)
+
+
+def _integer_scaled(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(den, w) with den the lcm of the denominators and w[k] = den * values[k]."""
+    den = math.lcm(*{v.denominator for v in values})
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -59,34 +100,26 @@ class EdgeWeighting:
             )
         vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        for eid, v in zip(self.tree.edge_ids, vals):
-            if eid.startswith("e") and v < 0:
-                raise ValueError(f"internal edge {eid} has negative weight {v}")
+        n = self.tree.n
+        for k, v in enumerate(vals[n:], start=n):
+            if v < 0:
+                raise ValueError(f"internal edge {self.tree.edge_ids[k]} has negative weight {v}")
 
     @classmethod
     def of(cls, tree: LabeledTree, weights: Mapping[EdgeId, object]) -> "EdgeWeighting":
         """Build from a (possibly partial) map; missing edges get weight 0."""
-        known = set(tree.edge_ids)
-        bad = set(weights) - known
-        if bad:
-            raise ValueError(f"unknown edge ids: {sorted(bad)}")
-        vals = tuple(Fraction(str(weights.get(e, 0))) for e in tree.edge_ids)
-        return cls(tree, vals)
+        return cls(tree, tuple(Fraction(str(v)) for v in tree._full_values(weights)))
 
     def weight(self, eid: EdgeId) -> Fraction:
-        try:
-            return self.values[self.tree._edge_index[eid]]
-        except KeyError:
-            raise ValueError(f"unknown edge id {eid!r}") from None
+        return self.values[self.tree._position(eid)]
 
     def as_dict(self) -> dict[EdgeId, Fraction]:
         return dict(zip(self.tree.edge_ids, self.values))
 
     @cached_property
     def _integer_weights(self) -> tuple[int, tuple[int, ...]]:
-        """(den, w) with den the lcm of the denominators and w[k] = den * values[k]."""
-        den = math.lcm(*(v.denominator for v in self.values))
-        return den, tuple(v.numerator * (den // v.denominator) for v in self.values)
+        """The weights over their common denominator; see _integer_scaled."""
+        return _integer_scaled(self.values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,35 +161,11 @@ class DissimilarityVector:
     @classmethod
     def of(cls, n: int, data: Mapping[tuple[int, int], object] | Iterable[object]) -> "DissimilarityVector":
         if isinstance(data, Mapping):
-            norm: dict[tuple[int, int], Fraction] = {}
-            for key, v in data.items():
-                i, j = key
-                if i == j:
-                    raise ValueError(f"pair ({i}, {j}) has equal entries")
-                if not (1 <= i <= n and 1 <= j <= n):
-                    raise ValueError(f"pair ({i}, {j}) is not a leaf pair for n={n}")
-                pair = (min(i, j), max(i, j))
-                if pair in norm:
-                    raise ValueError(f"duplicate pair {pair}")
-                norm[pair] = Fraction(str(v))
-            # name at most 20: a large n with few entries lacks ~n^2/2 pairs
-            pairs = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-            missing = list(itertools.islice((p for p in pairs if p not in norm), 20))
-            if missing:
-                more = n * (n - 1) // 2 - len(norm) - len(missing)
-                tail = f" and {more} more" if more else ""
-                raise ValueError(f"missing pairs: {missing}{tail}")
-            return cls(n, tuple(norm[p] for p in leaf_pairs(n)))
+            data = _pair_values(n, (("", i, j, v) for (i, j), v in data.items()))
         return cls(n, tuple(Fraction(str(v)) for v in data))
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], int]:
-        return {p: k for k, p in enumerate(leaf_pairs(self.n))}
-
     def value(self, i: int, j: int) -> Fraction:
-        if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"({i}, {j}) is not a leaf pair for n={self.n}")
-        return self.values[self._index[(min(i, j), max(i, j))]]
+        return self.values[_pair_position(self.n, i, j)]
 
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(zip(leaf_pairs(self.n), self.values))
@@ -182,7 +191,7 @@ class DissimilarityVector:
 
     @classmethod
     def from_tsv(cls, text: str) -> "DissimilarityVector":
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: list[tuple[str, int, int, Fraction]] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -196,16 +205,11 @@ class DissimilarityVector:
                 i, j = _leaf_index(parts[0]), _leaf_index(parts[1])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad leaf index") from exc
-            if i == j:
-                raise ValueError(f"line {lineno}: leaf indices must differ")
-            key = (min(i, j), max(i, j))
-            if key in entries:
-                raise ValueError(f"line {lineno}: duplicate pair {key}")
-            entries[key] = parse_rational(parts[2])
+            entries.append((f"line {lineno}: ", i, j, parse_rational(parts[2])))
         if not entries:
             raise ValueError("no entries found")
-        n = max(j for _, j in entries)
-        return cls.of(n, entries)
+        n = max(max(i, j) for _, i, j, _ in entries)
+        return cls(n, tuple(_pair_values(n, entries)))
 
     def to_json(self) -> str:
         obj = {"n": self.n, "d": {f"{i},{j}": str(v) for (i, j), v in self.as_dict().items()}}
@@ -222,18 +226,15 @@ class DissimilarityVector:
         if not isinstance(obj["d"], dict):
             raise ValueError("dissimilarity JSON key 'd' must hold an object of 'i,j' entries")
         n = _json_integer(obj["n"], "dissimilarity JSON key 'n'")
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: list[tuple[str, int, int, Fraction]] = []
         for key, v in obj["d"].items():
             try:
                 i_s, j_s = str(key).split(",")
                 i, j = _leaf_index(i_s), _leaf_index(j_s)
             except ValueError as exc:
                 raise ValueError(f"bad pair key {key!r}") from exc
-            pair = (min(i, j), max(i, j))
-            if pair in entries:
-                raise ValueError(f"duplicate pair {pair}")
-            entries[pair] = parse_rational(v)
-        return cls.of(n, entries)
+            entries.append(("", i, j, parse_rational(v)))
+        return cls(n, tuple(_pair_values(n, entries)))
 
 
 @dataclass(frozen=True)
@@ -271,10 +272,10 @@ _ATTAINED = {
 
 def _integer_table(d: DissimilarityVector) -> tuple[list[list[int]], int]:
     """(D, den) with den the lcm of d's denominators and D[i][j] = den * d_ij."""
-    den = math.lcm(*{v.denominator for v in d.values})
+    den, scaled = _integer_scaled(d.values)
     table = [[0] * (d.n + 1) for _ in range(d.n + 1)]
-    for (i, j), v in zip(leaf_pairs(d.n), d.values):
-        table[i][j] = table[j][i] = v.numerator * (den // v.denominator)
+    for (i, j), x in zip(leaf_pairs(d.n), scaled):
+        table[i][j] = table[j][i] = x
     return table, den
 
 

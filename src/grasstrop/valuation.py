@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter, mul
 from typing import Sequence
 
@@ -46,6 +45,7 @@ from .tropical import (
     DissimilarityVector,
     EdgeWeighting,
     NotTropicalError,
+    _pair_position,
     leaf_pairs,
     reconstruct_tree,
 )
@@ -60,7 +60,7 @@ class ValueVector:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_order(self.tree, self.order)
+        self.tree._order_positions(self.order)
         if len(self.values) != len(self.order):
             raise ValueError(f"expected {len(self.order)} entries, got {len(self.values)}")
 
@@ -68,16 +68,8 @@ class ValueVector:
     def v(self) -> dict[EdgeId, int]:
         return dict(zip(self.order, self.values))
 
-    @cached_property
-    def _slot(self) -> dict[EdgeId, int]:
-        """Position of each edge id in order."""
-        return {eid: k for k, eid in enumerate(self.order)}
-
     def value(self, eid: EdgeId) -> int:
-        try:
-            return self.values[self._slot[eid]]
-        except KeyError:
-            raise ValueError(f"unknown edge id {eid!r}") from None
+        return self.values[_slot(self.tree, self.order, eid)]
 
     def __add__(self, other: "ValueVector") -> "ValueVector":
         if self.tree != other.tree or self.order != other.order:
@@ -105,26 +97,12 @@ class ValuationMatrix:
     def pairs(self) -> list[tuple[int, int]]:
         return leaf_pairs(self.tree.n)
 
-    @cached_property
-    def _row(self) -> dict[EdgeId, int]:
-        return {eid: k for k, eid in enumerate(self.order)}
-
-    @cached_property
-    def _column(self) -> dict[tuple[int, int], int]:
-        return {pair: k for k, pair in enumerate(self.pairs)}
-
     def entry(self, eid: EdgeId, i: int, j: int) -> int:
-        try:
-            r = self._row[eid]
-        except KeyError:
-            raise ValueError(f"unknown edge id {eid!r}") from None
+        r = _slot(self.tree, self.order, eid)
         return self.column(i, j)[r]
 
     def column(self, i: int, j: int) -> tuple[int, ...]:
-        try:
-            c = self._column[(min(i, j), max(i, j))]
-        except KeyError:
-            raise ValueError(f"({i}, {j}) is not a leaf pair for n={self.tree.n}") from None
+        c = _pair_position(self.tree.n, i, j)
         return tuple(row[c] for row in self.rows)
 
     def to_tsv(self) -> str:
@@ -135,11 +113,10 @@ class ValuationMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _check_order(t: LabeledTree, order: Sequence[EdgeId]) -> tuple[EdgeId, ...]:
-    order = tuple(order)
-    if sorted(order) != sorted(t.edge_ids):
-        raise ValueError("edge order must be a permutation of the tree's edge ids")
-    return order
+def _slot(t: LabeledTree, order: Sequence[EdgeId], eid: EdgeId) -> int:
+    """The position of an edge id in an edge order of t."""
+    t._position(eid)  # refuses an id that is not an edge of t
+    return order.index(eid)
 
 
 def _check_labels(t: LabeledTree, f: PlueckerPolynomial) -> None:
@@ -230,10 +207,10 @@ def rank_valuation(t: LabeledTree, o: Sequence[EdgeId], f: PlueckerPolynomial) -
     """
     if not t.is_trivalent:
         raise ValueError("rank valuations are defined for trivalent trees")
-    order = _check_order(t, o)
+    order = tuple(o)
+    read = itemgetter(*t._order_positions(order))
     if f.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    read = itemgetter(*(t._edge_index[e] for e in order))
     fibers = _signed_fibers(t, f)
     top = max(fibers, key=read)
     if not fibers[top]:
@@ -245,11 +222,10 @@ def valuation_matrix(t: LabeledTree, o: Sequence[EdgeId]) -> ValuationMatrix:
     """Row e, column {i,j} holds 1 exactly when e lies on the path i to j."""
     if not t.is_trivalent:
         raise ValueError("valuation matrices are defined for trivalent trees")
-    order = _check_order(t, o)
+    order = tuple(o)
+    positions = t._order_positions(order)
     paths = [t._path(i, j) for i, j in leaf_pairs(t.n)]
-    rows = tuple(
-        tuple(1 if t._edge_index[e] in path else 0 for path in paths) for e in order
-    )
+    rows = tuple(tuple(1 if k in path else 0 for path in paths) for k in positions)
     return ValuationMatrix(t, order, rows)
 
 

@@ -11,6 +11,7 @@ import pytest
 from grasstrop import (
     DissimilarityVector,
     EdgeWeighting,
+    LabeledTree,
     PlueckerPolynomial,
     ValueVector,
     contract_edge,
@@ -247,16 +248,14 @@ def test_value_vector_basics():
 
 
 def test_edge_order_is_checked_once_per_value(monkeypatch):
-    import grasstrop.valuation as valuation_mod
-
-    check = valuation_mod._check_order
+    check = LabeledTree._order_positions
     calls = []
 
     def counted(t, order):
         calls.append(order)
         return check(t, order)
 
-    monkeypatch.setattr(valuation_mod, "_check_order", counted)
+    monkeypatch.setattr(LabeledTree, "_order_positions", counted)
     rng = random.Random(61)
     t = random_tree(rng, 7)
     order = list(t.edge_ids)
