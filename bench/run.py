@@ -12,8 +12,8 @@ input afresh (untimed), then times its library calls with
 median, together with the Python version, the commit
 and a check of each result, so that a wrong answer cannot pass as a
 fast one.  The cases are the stress cases of ROADMAP.md's baseline,
-two valuation cases, the Gorenstein check of the acceptance test and
-the tropical layer on a 32-leaf tree:
+two valuation cases, a box of decompositions, the Gorenstein check of
+the acceptance test and the tropical layer on a 32-leaf tree:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4;
@@ -27,12 +27,17 @@ the tropical layer on a 32-leaf tree:
   after the same monomial was straightened with another coefficient, so
   its expansion comes from the memo; checked against the cold result
   and its 91 terms;
-- `rank-valuation-d12`: `rank_valuation` of that product on the 8-leaf
-  caterpillar (`enumerate_trivalent(8)[0]`), read along its edge ids;
+- `rank-valuation-d12`: 300 calls of `rank_valuation` of that product
+  on the 8-leaf caterpillar (`enumerate_trivalent(8)[0]`), read along
+  its edge ids; one call takes about 0.1 ms, too little to time alone;
 - `axioms-n8`: both valuations of f, g, f*g and f+g for 100 seeded
   random 8-leaf trees, weightings, edge orders and polynomials f, g
   (up to 3 terms of degree up to 3), checked for multiplicativity and
   the ultrametric inequality;
+- `decompose-box`: `decompose` of each of the 571 semigroup weights
+  with every edge value at most 2 on a seeded 6-leaf tree, checked to
+  sum back to the weight and to be crossing-free in the planar leaf
+  order;
 - `gorenstein-n4-6`: `gorenstein_witness_check` on each of the 123
   trivalent trees with 4, 5 or 6 leaves, with the arguments of the
   acceptance test (100 samples, the tree's index as seed), each checked
@@ -62,6 +67,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -124,13 +130,16 @@ def _straighten_warm(arg):
     return gt.straighten(f), cold
 
 
+RANK_VALUATION_CALLS = 300
+
+
 def _rank_valuation_setup():
     return _caterpillar(8), _straighten_setup()
 
 
 def _rank_valuation(arg):
     t, f = arg
-    return gt.rank_valuation(t, t.edge_ids, f).values
+    return {gt.rank_valuation(t, t.edge_ids, f).values for _ in range(RANK_VALUATION_CALLS)}
 
 
 def _random_tree(rng: random.Random, n: int) -> gt.LabeledTree:
@@ -259,6 +268,37 @@ def _tropical_case(run, check, text=None):
     return setup, lambda arg: (arg[0], arg[1], run(arg[2])), lambda res: check(*res)
 
 
+def _box_members():
+    """The tree of seed 6 on 6 leaves and every semigroup weight with all
+    edge values at most 2 on it."""
+    t = _random_tree(random.Random(6), 6)
+    weights = (gt.SigmaWeight(t, vec) for vec in product(range(3), repeat=len(t.edge_ids)))
+    return t, [s for s in weights if gt.in_semigroup(t, s)]
+
+
+def _decompose_box(arg):
+    t, members = arg
+    return t, [(s, gt.decompose(t, s)) for s in members]
+
+
+def _decompositions_hold(res) -> bool:
+    """Every member of the box, each split into pairs whose leaf paths sum
+    back to it and no two of which cross as chords in the planar order."""
+    t, out = res
+    pos = {leaf: k for k, leaf in enumerate(t.planar_leaf_order)}
+    for s, pairs in out:
+        back = dict.fromkeys(t.edge_ids, 0)
+        for i, j in pairs:
+            for e in gt.leaf_path(t, i, j):
+                back[e] += 1
+        chords = [tuple(sorted((pos[i], pos[j]))) for i, j in pairs]
+        if any(a < c < b < d or c < a < d < b for (a, b), (c, d) in combinations(chords, 2)):
+            return False
+        if gt.SigmaWeight.of(t, back) != s:
+            return False
+    return len(out) == gt.graded_count(t, box_bound=2)
+
+
 def _gorenstein_trees():
     """Each tree with 4, 5 or 6 leaves and its index among the trees with as many leaves."""
     return [(t, idx) for n in (4, 5, 6) for idx, t in enumerate(gt.enumerate_trivalent(n))]
@@ -281,9 +321,10 @@ CASES = {
     "rank-valuation-d12": (
         _rank_valuation_setup,
         _rank_valuation,
-        lambda v: v == (3, 3, 3, 3, 3, 3, 3, 3, 6, 9, 12, 9, 6),
+        lambda v: v == {(3, 3, 3, 3, 3, 3, 3, 3, 6, 9, 12, 9, 6)},
     ),
     "axioms-n8": (_axioms_setup, _axioms, _axioms_hold),
+    "decompose-box": (_box_members, _decompose_box, _decompositions_hold),
     "gorenstein-n4-6": (
         _gorenstein_trees,
         _gorenstein,

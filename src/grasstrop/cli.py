@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 from . import report as report_mod
 from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
@@ -31,6 +32,14 @@ from .valuation import valuation_matrix
 # Largest n whose trees `trees enumerate` lists: 135135 trees at n=9, while
 # n=10 has 2027025 and n=12 already 654729075.  --count has no limit.
 _MAX_LISTED_N = 9
+
+
+def _tree_count(n: int) -> str:
+    """(2n-5)!!, the number of trivalent trees on n labeled leaves, in
+    decimal; from n=1426 on it has more digits than str(int) converts."""
+    if n < 3:
+        raise ValueError(f"need at least 3 leaves, got {n}")
+    return str(Decimal(double_factorial(2 * n - 5)))
 
 
 def _read_text(path: str) -> str:
@@ -60,14 +69,11 @@ def _read_vector(args: argparse.Namespace) -> DissimilarityVector:
 
 def cmd_trees_enumerate(args: argparse.Namespace) -> int:
     if args.count:
-        if args.n < 3:
-            raise ValueError(f"need at least 3 leaves, got {args.n}")
-        # there are (2n-5)!! trivalent trees on n labeled leaves
-        _emit(args, f"{double_factorial(2 * args.n - 5)}\n")
+        _emit(args, _tree_count(args.n) + "\n")
         return 0
     if args.n > _MAX_LISTED_N:
         raise ValueError(
-            f"refusing to list the {double_factorial(2 * args.n - 5)} trees on {args.n} leaves "
+            f"refusing to list the {_tree_count(args.n)} trees on {args.n} leaves "
             f"(at most n={_MAX_LISTED_N}); use --count to count them"
         )
     fmt = args.format or "json"

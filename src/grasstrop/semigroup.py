@@ -4,9 +4,10 @@ A weight s assigns a nonnegative integer to every edge.  At an internal
 vertex of a trivalent tree the three incident values must have even sum
 and satisfy the triangle inequality; the weights passing that test at
 every vertex form the semigroup of the tree.  Path indicator weights
-omega(i, j) generate it, and a weight decomposes into a multiset of leaf
-pairs by splitting each edge value into strands and matching them around
-every vertex of a planar embedding.
+omega(i, j) generate it, and each weight is the sum of exactly one
+multiset of leaf pairs that is crossing-free in the tree's planar leaf
+order, which `decompose` finds by matching strands in one pass from the
+leaves to leaf 1.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class SigmaWeight:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SigmaWeight":
+        if not isinstance(obj, dict):
+            raise ValueError("weight JSON must be an object with keys 'tree' and 's'")
         try:
             tree = tree_from_json_dict(obj["tree"])
             raw = obj["s"]
@@ -173,11 +176,16 @@ class PairMultiset:
 
 
 def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
-    """Split a semigroup element into path indicators by strand tracing.
+    """Split a semigroup element into path indicators by planar matching.
 
-    Each edge value is laid out as that many strands in a planar picture
-    of the tree; at every vertex the strands are matched greedily without
-    crossings, and each resulting leaf-to-leaf strand contributes one
+    Each edge value is laid out as that many strands in the planar picture
+    of the tree, and one pass from the leaves towards leaf 1 carries, per
+    edge, the leaves at the lower ends of its strands in planar order; a
+    leaf edge carries its own leaf s(e) times.  At an internal vertex whose
+    children carry b and c strands and whose parent edge carries a, the
+    (b+c-a)/2 innermost strands close up, the last ones of the left child
+    with the first ones of the right child, and the rest go up; the strands
+    that reach leaf 1's edge end at leaf 1.  Each closed strand is one leaf
     pair.  The result sums back to s and is crossing-free in the planar
     leaf order of the tree.
     """
@@ -192,55 +200,22 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
             f"weight is not in the semigroup: vertex {t.internal_vertices[bad]} "
             f"sees values {vals} (odd sum or triangle inequality fails)"
         )
-    parent, children, _ = t._rooted
-    root_child = t.adjacency[1][0]
-    # edges are keyed by their endpoint away from the root
-    sval = {v: s.values[k] for v, k in t._parent_edge.items()}
-
-    def step(v: int, slot: int, down: bool) -> tuple[int, int, bool] | int:
-        """One move across a vertex; returns the next state or the final leaf."""
-        if down:
-            if v <= t.n:
-                return v
-            left, right = children[v]
-            a, b, c = sval[v], sval[left], sval[right]
-            x_ab = (a + b - c) // 2
-            if slot < x_ab:
-                return left, slot, True
-            return right, c - a + slot, True
-        u = parent[v]
-        if u == 1:
-            return 1
-        left, right = children[u]
-        a, b, c = sval[u], sval[left], sval[right]
-        x_ab = (a + b - c) // 2
-        if v == left:
-            if slot < x_ab:
-                return u, slot, False
-            return right, b - 1 - slot, True
-        if slot >= c - (a + c - b) // 2:
-            return u, a - c + slot, False
-        return left, b - 1 - slot, True
-
-    visited: set[tuple[int, int]] = set()
+    _, children, _, bottom_up = t._rooted
+    values, up = s.values, t._parent_edge
+    # child vertex of an edge -> the lower ends of the edge's strands
+    ends: dict[int, list[int]] = {}
     pairs: list[tuple[int, int]] = []
-    for leaf in t.leaves:
-        key = root_child if leaf == 1 else leaf
-        down = leaf == 1
-        for slot in range(sval[key]):
-            if (key, slot) in visited:
-                continue
-            state: tuple[int, int, bool] | int = (key, slot, down)
-            visited.add((key, slot))
-            while not isinstance(state, int):
-                v, sl, d = state
-                state = step(v, sl, d)
-                if not isinstance(state, int):
-                    visited.add(state[:2])
-            end = state
-            if end == leaf:
-                raise RuntimeError("strand returned to its starting leaf")
-            pairs.append((min(leaf, end), max(leaf, end)))
+    for v in bottom_up:
+        if v <= t.n:
+            ends[v] = [v] * values[up[v]]
+            continue
+        left, right = children[v]
+        b, c = ends.pop(left), ends.pop(right)
+        # (a+b-c)/2 strands of the left child go up, the rest close up
+        keep = (values[up[v]] + len(b) - len(c)) // 2
+        pairs += ((i, j) if i < j else (j, i) for i, j in zip(reversed(b[keep:]), c))
+        ends[v] = b[:keep] + c[len(b) - keep :]
+    pairs += ((1, j) for j in ends[bottom_up[-1]])
     out = PairMultiset(tuple(pairs))
     if tuple(t._edge_counts(out.counts().items())) != s.values:
         raise RuntimeError("strand decomposition does not sum back to the weight")
@@ -263,13 +238,9 @@ def _table_walk(
     difference at both ends that a running sum over values of one parity
     spreads out.
     """
-    _, children, _ = t._rooted
-    root_child = t.adjacency[1][0]
-    order = [root_child]
-    for v in order:
-        order.extend(children[v])
+    _, children, _, bottom_up = t._rooted
     tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for v in reversed(order):
+    for v in bottom_up:
         if v <= t.n:
             tables[v] = leaf_table
             continue
@@ -298,7 +269,7 @@ def _table_walk(
                 diff[a] += diff[a - 2]
             out[stot] = [(a, count) for a, count in enumerate(diff[: cap + 1]) if count]
         tables[v] = out
-    return tables[root_child]
+    return tables[bottom_up[-1]]
 
 
 def graded_count(

@@ -189,10 +189,14 @@ class LabeledTree:
     @cached_property
     def _rooted(
         self,
-    ) -> tuple[dict[int, int], dict[int, list[int]], dict[int, tuple[int, int]]]:
+    ) -> tuple[
+        dict[int, int], dict[int, list[int]], dict[int, tuple[int, int]], tuple[int, ...]
+    ]:
         """The walk from leaf 1: parent and children (smallest leaf below
         first) of every vertex, and its span (lo, hi), the positions in
-        planar_leaf_order of the leaves below it.  Leaf 1 spans all of them."""
+        planar_leaf_order of the leaves below it.  Leaf 1 spans all of them.
+        Last, every vertex but leaf 1, each after all vertices below it: the
+        walk's preorder reversed, which ends at leaf 1's neighbour."""
         preorder, parent, children = _root_at_leaf_1(self.n, self.adjacency)
         lo: dict[int, int] = {}
         seen = 0
@@ -203,12 +207,12 @@ class LabeledTree:
         for v in reversed(preorder):
             kids = children[v]
             span[v] = (lo[v], span[kids[-1]][1] if kids else lo[v] + 1)
-        return parent, children, span
+        return parent, children, span, tuple(reversed(preorder[1:]))
 
     def _internal_edges_by_side(self) -> list[tuple[tuple[int, ...], int]]:
         """(sorted leaves on the side of leaf 1, child vertex) per internal
         edge, in edge_ids order."""
-        parent, _, span = self._rooted
+        parent, _, span, _ = self._rooted
         planar = self.planar_leaf_order
         return sorted(
             (tuple(sorted(planar[:lo] + planar[hi:])), v)
@@ -219,7 +223,7 @@ class LabeledTree:
     @cached_property
     def _edge_child(self) -> tuple[int, ...]:
         """Per edge, in edge_ids order: its child vertex."""
-        _, children, _ = self._rooted
+        _, children, _, _ = self._rooted
         internal = [v for _, v in self._internal_edges_by_side()]
         return (children[1][0], *range(2, self.n + 1), *internal)
 
@@ -229,7 +233,7 @@ class LabeledTree:
 
         Internal edges sort by their side containing leaf 1, lexicographically.
         """
-        _, _, span = self._rooted
+        _, _, span, _ = self._rooted
         planar = self.planar_leaf_order
         internal = [
             "e" + "-".join(map(str, sorted(planar[slice(*span[v])])))
@@ -249,7 +253,7 @@ class LabeledTree:
 
     def _walk_path(self, i: int, j: int) -> list[int]:
         """The edge_ids indices on the path between vertices i and j."""
-        parent, _, span = self._rooted
+        parent, _, span, _ = self._rooted
         up = self._parent_edge
         out: list[int] = []
         for a, b in ((i, j), (j, i)):
@@ -291,7 +295,7 @@ class LabeledTree:
     def _stars(self) -> tuple[tuple[int, ...], ...]:
         """Per internal vertex, in internal_vertices order: the edge_ids indices
         of its incident edges, in adjacency order."""
-        parent, children, _ = self._rooted
+        parent, children, _, _ = self._rooted
         up = self._parent_edge
         stars = []
         for v in self.internal_vertices:
@@ -305,7 +309,7 @@ class LabeledTree:
         return self.edge_ids[self.n :]
 
     def edge_id_of(self, u: int, v: int) -> EdgeId:
-        parent, _, _ = self._rooted
+        parent, _, _, _ = self._rooted
         child, other = (u, v) if parent.get(u) == v else (v, u)
         k = self._parent_edge.get(child)
         if k is None or parent[child] != other:
@@ -361,7 +365,7 @@ class LabeledTree:
     @cached_property
     def internal_splits(self) -> frozenset[frozenset[int]]:
         """Sides-away-from-leaf-1 of the internal edges; determines the tree."""
-        _, _, span = self._rooted
+        _, _, span, _ = self._rooted
         planar = self.planar_leaf_order
         return frozenset(
             frozenset(planar[slice(*span[v])]) for v in self._edge_child[self.n :]
@@ -375,7 +379,7 @@ class LabeledTree:
         leaf paths that cross do so in any embedding, so it is the natural
         frame for crossing-free rewriting on this tree.
         """
-        _, _, span = self._rooted
+        _, _, span, _ = self._rooted
         order = [0] * self.n
         for i in self.leaves:
             order[span[i][0]] = i
@@ -550,7 +554,7 @@ def tree_from_json(text: str) -> LabeledTree:
 
 def tree_to_newick(t: LabeledTree, weights: Mapping[EdgeId, Fraction] | None = None) -> str:
     """Newick string rooted at the internal vertex next to leaf 1."""
-    _, children, _ = t._rooted
+    _, children, _, _ = t._rooted
     up = t._parent_edge
     root = children[1][0]
     out: list[str] = []

@@ -306,7 +306,7 @@ def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
     """Path-sum dissimilarity vector of an edge weighting."""
     t = r.tree
     den, w = r._integer_weights
-    parent, _, _ = t._rooted
+    parent, _, _, _ = t._rooted
     nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in parent}
     for v, k in t._parent_edge.items():
         nbrs[v].append((parent[v], w[k]))

@@ -6,15 +6,17 @@ content formula for graded dimensions, degree-constrained multigraph
 enumeration for semigroup membership, minor evaluation for polynomial
 identities, plain exhaustive enumeration for graded and interior counts,
 a breadth-first search on the edge list for the leaves on each side of
-an edge, and leaf insertion on plain edge lists, canonicalized by the
-validating constructor, for the enumeration of trivalent trees.
+an edge, leaf insertion on plain edge lists, canonicalized by the
+validating constructor, for the enumeration of trivalent trees, and
+chords on a circle for crossing-free multisets of leaf pairs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
 from grasstrop import LabeledTree, PlueckerPolynomial, leaf_path
 
@@ -56,6 +58,18 @@ def side_away_from_leaf_1(t: LabeledTree, u: int, v: int) -> frozenset[int]:
                 reached.add(y)
                 queue.append(y)
     return frozenset(i for i in range(1, t.n + 1) if i not in reached)
+
+
+def is_crossing_free(order: Sequence[int], pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether no two leaf pairs cross as chords of a circle that carries
+    the leaves in `order`.
+
+    Two chords cross when their four endpoints alternate around the
+    circle; chords that share an endpoint do not cross.
+    """
+    pos = {leaf: k for k, leaf in enumerate(order)}
+    chords = [tuple(sorted((pos[i], pos[j]))) for i, j in pairs]
+    return not any(a < c < b < d or c < a < d < b for (a, b), (c, d) in combinations(chords, 2))
 
 
 def grown_trivalent_trees(n: int) -> list[LabeledTree]:

@@ -7,7 +7,7 @@ import pytest
 
 from grasstrop import report
 from grasstrop.cli import main
-from grasstrop.trees import enumerate_trivalent, tree_from_json, tree_to_json
+from grasstrop.trees import double_factorial, enumerate_trivalent, tree_from_json, tree_to_json
 from util import trees_cached
 
 SIGMA1_JSON = '{"n":4,"edges":[[1,5],[2,5],[3,6],[4,6],[5,6]]}'
@@ -68,6 +68,21 @@ def test_trees_enumerate_refuses_to_list_large_n(capsys):
         assert err.startswith("error:") and f"{count} trees" in err and "--count" in err
         code, out, _ = run(capsys, "trees", "enumerate", "--n", str(n), "--count")
         assert code == 0 and out == f"{count}\n"
+
+
+def test_trees_enumerate_past_the_int_digit_limit(capsys):
+    # 3995!! has 6329 digits, more than str(int) converts by default
+    count = double_factorial(2 * 2000 - 5)
+    code, out, err = run(capsys, "trees", "enumerate", "--n", "2000", "--count")
+    assert code == 0 and err == "" and out.endswith("\n")
+    digits = out[:-1]
+    assert digits.isdigit() and 10 ** (len(digits) - 1) <= count < 10 ** len(digits)
+    assert int(digits[:18]) == count // 10 ** (len(digits) - 18)
+    assert int(digits[-18:]) == count % 10**18
+    code, out, err = run(capsys, "trees", "enumerate", "--n", "2000")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: refusing to list the {digits} trees on 2000 leaves")
+    assert "use --count" in err
 
 
 def test_trop_dissim_tsv(tmp_path, capsys):

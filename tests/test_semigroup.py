@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -13,6 +14,7 @@ from grasstrop import (
     graded_count,
     in_semigroup,
     invariant_dim,
+    leaf_path,
     omega,
     pieri_dim,
 )
@@ -24,6 +26,8 @@ from oracles import (
     brute_force_interior_count,
     character_invariant_dim,
     hook_content_dim,
+    is_crossing_free,
+    side_away_from_leaf_1,
 )
 from grasstrop import semigroup
 from grasstrop.semigroup import _tensor_invariant_dim
@@ -147,6 +151,42 @@ def test_decompose_generators():
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     assert decompose(t, omega(t, i, j)) == PairMultiset(((i, j),))
+
+
+def test_decompose_returns_each_crossing_free_multiset():
+    # a crossing-free multiset in the planar order is the decomposition of
+    # its own weight; each edge counts the pairs it separates
+    cases = 0
+    for n in (4, 5):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for t in trees_cached(n):
+            order = t.planar_leaf_order
+            sides = {t.edge_id_of(u, v): side_away_from_leaf_1(t, u, v) for u, v in t.edges}
+            for side in sides.values():
+                at = sorted(order.index(i) for i in side)
+                assert at == list(range(at[0], at[0] + len(at)))
+            for size in range(5):
+                for chosen in combinations_with_replacement(pairs, size):
+                    if not is_crossing_free(order, chosen):
+                        continue
+                    weight = {
+                        e: sum((i in side) != (j in side) for i, j in chosen)
+                        for e, side in sides.items()
+                    }
+                    assert decompose(t, s_of(t, weight)) == PairMultiset(chosen)
+                    cases += 1
+    assert cases == 11436
+
+
+def test_decompose_deep_caterpillar():
+    # a path of 1498 internal vertices, deeper than the recursion limit
+    n = 1500
+    t = caterpillar(n)
+    chosen = [(i, n + 1 - i) for i in range(1, n // 2 + 1, 2)]
+    chosen += [(i, i + 1) for i in range(2, n // 2, 2)] + [(1, n), (n - 1, n)]
+    assert is_crossing_free(t.planar_leaf_order, chosen)
+    s = s_of(t, Counter(e for i, j in chosen for e in leaf_path(t, i, j)))
+    assert decompose(t, s) == PairMultiset(tuple(chosen))
 
 
 def test_graded_count_degree_examples():
@@ -288,6 +328,9 @@ def test_sigma_weight_validation_and_json():
             SigmaWeight.from_json_dict(obj)
     with pytest.raises(ValueError, match="must hold an object"):
         SigmaWeight.from_json_dict({**s.to_json_dict(), "s": [2, 0]})
+    for bad in ([1], "s", 3, None):
+        with pytest.raises(ValueError, match="must be an object"):
+            SigmaWeight.from_json_dict(bad)
     assert (s + s).value("e3-4") == 6
     assert s.scaled(3).value("l1") == 6
 
