@@ -13,7 +13,8 @@ median, together with the Python version, the commit
 and a check of each result, so that a wrong answer cannot pass as a
 fast one.  The cases are the stress cases of ROADMAP.md's baseline,
 two valuation cases, a box of decompositions, the Gorenstein check of
-the acceptance test and the tropical layer on a 32-leaf tree:
+the acceptance test, two cases of graded counts and the tropical layer
+on a 32-leaf tree:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4;
@@ -41,7 +42,17 @@ the acceptance test and the tropical layer on a 32-leaf tree:
 - `gorenstein-n4-6`: `gorenstein_witness_check` on each of the 123
   trivalent trees with 4, 5 or 6 leaves, with the arguments of the
   acceptance test (100 samples, the tree's index as seed), each checked
-  True;
+  True, with the memo of counts cleared first, so the number is cold;
+- `graded-n8-sweep`: `graded_count` in degrees 1..4 and
+  `gorenstein_witness_check` on each of the 10395 trivalent trees with 8
+  leaves, built afresh but with the memo of counts kept, so all but the
+  first tree of each of the 11 rooted shapes are served from it; the
+  counts are checked against the hook-content formula and every check
+  to be True;
+- `box-caterpillar1500-m2`: one cold `graded_count(t, box_bound=2)` on
+  the 1500-leaf caterpillar, built afresh with the memo cleared, so the
+  number includes the tree's shape key; checked against a transfer
+  matrix along the caterpillar's spine;
 - `dissimilarity-n32`, `four-point-n32`, `reconstruct-n32`,
   `from-json-n32` and `from-tsv-n32`: the tropical layer on one seeded
   32-leaf weighted tree (leaf weights of either sign, internal weights
@@ -300,12 +311,53 @@ def _decompositions_hold(res) -> bool:
 
 
 def _gorenstein_trees():
-    """Each tree with 4, 5 or 6 leaves and its index among the trees with as many leaves."""
+    """Each tree with 4, 5 or 6 leaves and its index among the trees with
+    as many leaves, with the memo of counts cleared."""
+    gt.semigroup._COUNTS.clear()
     return [(t, idx) for n in (4, 5, 6) for idx, t in enumerate(gt.enumerate_trivalent(n))]
 
 
 def _gorenstein(trees):
     return [gt.gorenstein_witness_check(t, 100, seed=idx) for t, idx in trees]
+
+
+SWEEP_DEGREES = range(1, 5)
+
+
+def _graded_sweep(trees):
+    return [
+        ([gt.graded_count(t, plucker_degree=d) for d in SWEEP_DEGREES], gt.gorenstein_witness_check(t, 10))
+        for t in trees
+    ]
+
+
+def _graded_sweep_holds(rows, n: int = 8) -> bool:
+    """Degree-d counts equal the hook-content dimension C(n+d-1,d)C(n+d-2,d)/(d+1)
+    of the two-row shape (d, d) on every tree, and every Gorenstein check passes."""
+    expect = [comb(n + d - 1, d) * comb(n + d - 2, d) // (d + 1) for d in SWEEP_DEGREES]
+    return len(rows) == gt.double_factorial(2 * n - 5) and all(c == expect and ok is True for c, ok in rows)
+
+
+def _cold_caterpillar():
+    gt.semigroup._COUNTS.clear()
+    return _caterpillar(1500)
+
+
+def _caterpillar_box_count(n: int, m: int) -> int:
+    """Weights with every edge value at most m on the n-leaf caterpillar, by
+    a transfer matrix along the spine: each spine vertex but the two ends
+    carries one leaf, the ends carry two."""
+
+    def ok(a, b, c):
+        return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+
+    vals = range(m + 1)
+    end = [sum(ok(a, b, c) for a in vals for b in vals) for c in vals]
+    step = [[sum(ok(c, x, d) for x in vals) for d in vals] for c in vals]
+    counts = end
+    for _ in range(n - 4):
+        counts = [sum(counts[c] * step[c][d] for c in vals) for d in vals]
+    return sum(counts[c] * end[c] for c in vals)
 
 
 CASES = {
@@ -329,6 +381,12 @@ CASES = {
         _gorenstein_trees,
         _gorenstein,
         lambda oks: len(oks) == 123 and all(ok is True for ok in oks),
+    ),
+    "graded-n8-sweep": (lambda: gt.enumerate_trivalent(8), _graded_sweep, _graded_sweep_holds),
+    "box-caterpillar1500-m2": (
+        _cold_caterpillar,
+        lambda t: gt.graded_count(t, box_bound=2),
+        lambda c: c == _caterpillar_box_count(1500, 2),
     ),
     "dissimilarity-n32": (
         _weighted_tree32,

@@ -21,17 +21,22 @@ import argparse
 import json
 import sys
 from decimal import Decimal
+from math import floor, lgamma, log
 
 from . import report as report_mod
 from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
 from .tropical import is_tropical_point, reconstruct_tree
 from .trees import double_factorial, enumerate_trivalent, parse_edge_order
-from .trees import tree_from_json, tree_to_json, tree_to_newick
+from .trees import tree_from_json, tree_to_newick
 from .valuation import valuation_matrix
 
 # Largest n whose trees `trees enumerate` lists: 135135 trees at n=9, while
 # n=10 has 2027025 and n=12 already 654729075.  --count has no limit.
 _MAX_LISTED_N = 9
+# Largest n whose refusal spells the count out: 3995!! has 6329 digits and
+# takes a few milliseconds, while 60000 leaves take seconds.  Past it the
+# refusal names the count's number of digits.
+_MAX_SPELLED_N = 2000
 
 
 def _tree_count(n: int) -> str:
@@ -40,6 +45,21 @@ def _tree_count(n: int) -> str:
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
     return str(Decimal(double_factorial(2 * n - 5)))
+
+
+def _tree_count_size(n: int) -> str:
+    """The number of decimal digits of (2n-5)!!, from log10 of
+    (2m)! / (2^m m!) with m = n-2, without computing the count.
+
+    lgamma is good to a few units in the last place, so unless the
+    logarithm lies within 1e-9 plus a relative 1e-12 of an integer the
+    digit count is exact; otherwise it is marked as approximate.
+    """
+    m = n - 2
+    digits = (lgamma(2 * m + 1) - lgamma(m + 1) - m * log(2)) / log(10)
+    margin = 1e-9 + 1e-12 * digits
+    exact = margin < digits % 1 < 1 - margin
+    return f"{'' if exact else 'about '}{floor(digits) + 1} digits"
 
 
 def _read_text(path: str) -> str:
@@ -71,15 +91,28 @@ def cmd_trees_enumerate(args: argparse.Namespace) -> int:
     if args.count:
         _emit(args, _tree_count(args.n) + "\n")
         return 0
-    if args.n > _MAX_LISTED_N:
+    n = args.n
+    if n > _MAX_LISTED_N:
+        if n > _MAX_SPELLED_N:
+            count = f"{2 * n - 5}!! ({_tree_count_size(n)})"
+        else:
+            count = _tree_count(n)
         raise ValueError(
-            f"refusing to list the {_tree_count(args.n)} trees on {args.n} leaves "
+            f"refusing to list the {count} trees on {n} leaves "
             f"(at most n={_MAX_LISTED_N}); use --count to count them"
         )
-    fmt = args.format or "json"
-    lines = []
-    for t in enumerate_trivalent(args.n):
-        lines.append(tree_to_newick(t) if fmt == "newick" else tree_to_json(t))
+    if args.format == "newick":
+        line = tree_to_newick
+    else:
+        # tree_to_json's text, joined from one cell per edge (u, v), u < v
+        cells = {(u, v): f"[{u},{v}]" for u in range(1, 2 * n - 1) for v in range(u + 1, 2 * n - 1)}
+        head = f'{{"n":{n},"edges":['
+
+        def line(t):
+            return head + ",".join(map(cells.__getitem__, t.edges)) + "]}"
+
+    # the trees go before the lines are joined
+    lines = [line(t) for t in enumerate_trivalent(n)]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -8,12 +8,17 @@ omega(i, j) generate it, and each weight is the sum of exactly one
 multiset of leaf pairs that is crossing-free in the tree's planar leaf
 order, which `decompose` finds by matching strands in one pass from the
 leaves to leaf 1.
+
+Graded, box and interior counts run one table walk from the leaves to
+leaf 1.  They depend only on the tree's shape rooted at leaf 1, so they
+are memoized by that shape in one memo of at most 1024 counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from threading import Lock
 from typing import Iterable, Mapping, Sequence
 
 from .trees import EdgeId, LabeledTree, _json_integer, tree_from_json_dict, tree_to_json_dict
@@ -45,9 +50,9 @@ def pieri_dim(i: int, j: int, k: int) -> int:
     return 1 if _first_violation(((0, 1, 2),), (i, j, k)) is None else 0
 
 
-# 1024 entries hold every sorted triple of values 0..16 (969 of them), so box
-# sweeps on trivalent trees up to that bound never evict, and memory stays
-# flat however many weights a process tests.
+# Only vertices of degree 4 or more fold here (invariant_dim reads trivalent
+# trees off the vertex rule); the bound keeps memory flat however many
+# weights a process tests.
 @lru_cache(maxsize=1024)
 def _tensor_invariant_dim(vals: tuple[int, ...]) -> int:
     """Invariant dimension of V(a1) (x) ... (x) V(ak), by Clebsch-Gordan folding."""
@@ -121,10 +126,18 @@ class SigmaWeight:
 
 
 def invariant_dim(t: LabeledTree, s: SigmaWeight) -> int:
-    """Product over internal vertices of local tensor invariant dimensions."""
+    """Product over internal vertices of local tensor invariant dimensions.
+
+    On a trivalent tree every factor is pieri_dim, so the product is 1 for
+    a semigroup element and 0 otherwise; higher degrees fold by
+    Clebsch-Gordan.
+    """
     if s.tree != t:
         raise ValueError("weight does not live on this tree")
     vals = s.values
+    if t.is_trivalent:
+        # each local factor is pieri_dim, 0 or 1
+        return int(_first_violation(t._stars, vals) is None)
     out = 1
     for star in t._stars:
         out *= _tensor_invariant_dim(tuple(sorted(vals[k] for k in star)))
@@ -272,31 +285,45 @@ def _table_walk(
     return tables[bottom_up[-1]]
 
 
-def graded_count(
-    t: LabeledTree, *, plucker_degree: int | None = None, box_bound: int | None = None
-) -> int:
-    """Count semigroup elements in one graded piece.
+# (shape, mode, level) -> count; see _memo_count.  1024 entries hold the
+# 20 counts of the Gorenstein check and degrees 1..4 for all 23 shapes at
+# n=9 (552 entries).
+_COUNTS: dict[tuple[bytes, str, int], int] = {}
+_COUNTS_BOUND = 1024
+_COUNTS_LOCK = Lock()
 
-    Exactly one of the two keyword modes must be given: `plucker_degree=d`
-    counts weights whose leaf values sum to 2d, `box_bound=m` counts
-    weights with every edge value at most m.
+
+def _memo_count(t: LabeledTree, mode: str, level: int) -> int:
+    """The count of one graded piece, looked up by the tree's rooted shape.
+
+    Every leaf gets the same table and every vertex applies the same
+    symmetric rule, so a count depends only on t._shape; the table walk
+    runs once per (shape, mode, level), and the oldest entry goes when the
+    memo is full.  Modes: "box" (every edge value at most level),
+    "degree" (leaf values summing to 2*level) and "interior" (see
+    _interior_count).
     """
-    if (plucker_degree is None) == (box_bound is None):
-        raise ValueError("give exactly one of plucker_degree= or box_bound=")
-    if not t.is_trivalent:
-        raise ValueError("graded counts are defined for trivalent trees")
-    # Box mode keeps the leaf sum at 0 and caps edge values at m; degree
-    # mode caps both at 2d, and leaf 1's value must bring the sum to 2d.
-    if box_bound is not None:
-        if box_bound < 0:
-            raise ValueError(f"box bound must be nonnegative, got {box_bound}")
-        leaf_table = {0: [(a, 1) for a in range(box_bound + 1)]}
-        return _count_all(_table_walk(t, leaf_table, box_bound, 0))
-    if plucker_degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {plucker_degree}")
-    top = 2 * plucker_degree
-    leaf_table = {a: [(a, 1)] for a in range(top + 1)}
-    table = _table_walk(t, leaf_table, top, 0)
+    key = (t._shape, mode, level)
+    count = _COUNTS.get(key)
+    if count is None:
+        count = _walk_count(t, mode, level)
+        with _COUNTS_LOCK:
+            if key not in _COUNTS and len(_COUNTS) >= _COUNTS_BOUND:
+                del _COUNTS[next(iter(_COUNTS))]
+            _COUNTS[key] = count
+    return count
+
+
+def _walk_count(t: LabeledTree, mode: str, level: int) -> int:
+    # Box and interior modes keep the leaf sum at 0 and cap edge values;
+    # degree mode caps both at 2*level, and leaf 1's value must bring the
+    # sum to 2*level.
+    if mode == "box":
+        return _count_all(_table_walk(t, {0: [(a, 1) for a in range(level + 1)]}, level, 0))
+    if mode == "interior":
+        return _count_all(_table_walk(t, {0: [(a, 1) for a in range(1, level)]}, level - 1, 2))
+    top = 2 * level
+    table = _table_walk(t, {a: [(a, 1)] for a in range(top + 1)}, top, 0)
     return sum(count for stot, row in table.items() for a, count in row if a + stot == top)
 
 
@@ -304,10 +331,33 @@ def _count_all(table: dict[int, list[tuple[int, int]]]) -> int:
     return sum(count for row in table.values() for _, count in row)
 
 
+def graded_count(
+    t: LabeledTree, *, plucker_degree: int | None = None, box_bound: int | None = None
+) -> int:
+    """Count semigroup elements in one graded piece.
+
+    Exactly one of the two keyword modes must be given: `plucker_degree=d`
+    counts weights whose leaf values sum to 2d, `box_bound=m` counts
+    weights with every edge value at most m.  Counts are memoized by the
+    tree's rooted shape (see _memo_count).
+    """
+    if (plucker_degree is None) == (box_bound is None):
+        raise ValueError("give exactly one of plucker_degree= or box_bound=")
+    if not t.is_trivalent:
+        raise ValueError("graded counts are defined for trivalent trees")
+    if box_bound is not None:
+        if box_bound < 0:
+            raise ValueError(f"box bound must be nonnegative, got {box_bound}")
+        return _memo_count(t, "box", box_bound)
+    if plucker_degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {plucker_degree}")
+    return _memo_count(t, "degree", plucker_degree)
+
+
 def _interior_count(t: LabeledTree, m: int) -> int:
     """Weights at level m in the interior: every edge value in 1..m-1, even
     vertex sums and strict triangle inequalities."""
-    return _count_all(_table_walk(t, {0: [(a, 1) for a in range(1, m)]}, m - 1, 2))
+    return _memo_count(t, "interior", m)
 
 
 def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> bool:
@@ -317,8 +367,9 @@ def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> 
     strict triangle inequalities) is the box at level m-3 shifted by 2 on
     every edge (Buczynska-Wisniewski): for an even sum, |a-b| < c < a+b
     holds exactly when |a-b| <= c-2 <= a+b-4.  Both sides are counted by
-    the same table walk, and the result is False at the first level where
-    the interior count differs from graded_count(t, box_bound=m-3).
+    the same table walk, memoized by shape, and the result is False at the
+    first level where the interior count differs from
+    graded_count(t, box_bound=m-3).
     `samples` and `seed` are accepted for compatibility and no longer used.
     """
     if not t.is_trivalent:

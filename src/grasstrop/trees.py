@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -184,7 +185,9 @@ class LabeledTree:
 
     @cached_property
     def is_trivalent(self) -> bool:
-        return all(len(self.adjacency[v]) == 3 for v in self.internal_vertices)
+        # internal vertices have degree at least 3, so a tree has at most
+        # 2n-3 edges, and exactly that many when every degree is 3
+        return len(self.edges) == 2 * self.n - 3
 
     @cached_property
     def _rooted(
@@ -208,6 +211,60 @@ class LabeledTree:
             kids = children[v]
             span[v] = (lo[v], span[kids[-1]][1] if kids else lo[v] + 1)
         return parent, children, span, tuple(reversed(preorder[1:]))
+
+    @cached_property
+    def _shape(self) -> bytes:
+        """Canonical code of the trivalent tree rooted at leaf 1, with the
+        other leaves unlabeled: two trees get the same code exactly when a
+        relabeling of leaves 2..n carries one onto the other.
+
+        Names are given by height, AHU style: every leaf but leaf 1 is 0,
+        and each internal vertex gets the sorted pair of its children's
+        names.  Height by height, the distinct pairs are ranked and named
+        after all names used below, so the k-th pair of the code is the
+        vertex type named k+1, and the last one is the root's.  The code
+        lists the pairs in that order as unsigned ints; it holds each type
+        once and never nests, so a deep tree needs no recursion.
+
+        The children are read off the canonical edges, whose internal
+        labels follow the preorder from leaf 1 (see the module docstring):
+        of an edge (u, v), u < v, between internal vertices u is the
+        parent, a leaf other than 1 hangs below its neighbour, and the
+        labels taken downwards list each vertex after all vertices below
+        it.  So no walk runs and no per-vertex table stays cached.
+        """
+        if not self.is_trivalent:
+            raise ValueError("tree shapes are defined for trivalent trees")
+        n = self.n
+        # internal vertex n+1+i -> its children; leaves stay 0 in `height` and `names`
+        children: list[list[int]] = [[] for _ in range(n - 2)]
+        for u, v in self.edges:
+            if u > n:
+                children[u - n - 1].append(v)
+            elif u > 1:
+                children[v - n - 1].append(u)
+        height = [0] * (2 * n - 1)
+        levels: list[list[int]] = []
+        for v in range(2 * n - 2, n, -1):
+            left, right = children[v - n - 1]
+            h = height[v] = max(height[left], height[right]) + 1
+            if h > len(levels):
+                levels.append([])
+            levels[h - 1].append(v)
+        names = [0] * (2 * n - 1)
+        code = array("I")
+        for level in levels:
+            pairs = []
+            for v in level:
+                left, right = children[v - n - 1]
+                a, b = names[left], names[right]
+                pairs.append((a, b) if a <= b else (b, a))
+            ranked = {pair: len(code) // 2 + k for k, pair in enumerate(sorted(set(pairs)), 1)}
+            for v, pair in zip(level, pairs):
+                names[v] = ranked[pair]
+            for pair in ranked:
+                code.extend(pair)
+        return code.tobytes()
 
     def _internal_edges_by_side(self) -> list[tuple[tuple[int, ...], int]]:
         """(sorted leaves on the side of leaf 1, child vertex) per internal

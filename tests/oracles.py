@@ -7,8 +7,9 @@ enumeration for semigroup membership, minor evaluation for polynomial
 identities, plain exhaustive enumeration for graded and interior counts,
 a breadth-first search on the edge list for the leaves on each side of
 an edge, leaf insertion on plain edge lists, canonicalized by the
-validating constructor, for the enumeration of trivalent trees, and
-chords on a circle for crossing-free multisets of leaf pairs.
+validating constructor, for the enumeration of trivalent trees, chords
+on a circle for crossing-free multisets of leaf pairs, and nested
+sorted strings for the shape of a tree rooted at leaf 1.
 """
 
 from __future__ import annotations
@@ -232,3 +233,26 @@ def brute_force_degree_count(t: LabeledTree, d: int) -> int:
         if all(_vertex_ok(tuple(vec[k] for k in star)) for star in stars):
             count += 1
     return count
+
+
+def rooted_shape_form(t: LabeledTree) -> str:
+    """The shape of t rooted at leaf 1, with leaves 2..n unlabeled, as a string.
+
+    A leaf is "x" and any other vertex is "(" + its children's strings,
+    sorted, + ")", read recursively from the edge list; leaf 1 itself is
+    left out, so the string is that of its neighbour.  Two trees get the
+    same string exactly when a relabeling of leaves 2..n carries one onto
+    the other.
+    """
+    nbrs: dict[int, list[int]] = {}
+    for a, b in t.edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+
+    def form(v: int, parent: int) -> str:
+        if v <= t.n:
+            return "x"
+        return "(" + "".join(sorted(form(w, v) for w in nbrs[v] if w != parent)) + ")"
+
+    (root,) = nbrs[1]
+    return form(root, 1)

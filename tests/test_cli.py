@@ -2,11 +2,12 @@ import io
 import json
 import random
 import re
+import time
 
 import pytest
 
 from grasstrop import report
-from grasstrop.cli import main
+from grasstrop.cli import _tree_count, _tree_count_size, main
 from grasstrop.trees import double_factorial, enumerate_trivalent, tree_from_json, tree_to_json
 from util import trees_cached
 
@@ -47,6 +48,13 @@ def test_trees_enumerate_json(capsys):
     assert [tree_from_json(s) for s in lines] == list(trees_cached(4))
 
 
+def test_trees_enumerate_json_lines_are_tree_to_json(capsys):
+    for n in (3, 7):
+        code, out, _ = run(capsys, "trees", "enumerate", "--n", str(n))
+        assert code == 0
+        assert out == "".join(tree_to_json(t) + "\n" for t in trees_cached(n))
+
+
 def test_trees_enumerate_newick(capsys):
     code, out, _ = run(capsys, "trees", "enumerate", "--n", "4", "--format", "newick")
     assert code == 0
@@ -83,6 +91,22 @@ def test_trees_enumerate_past_the_int_digit_limit(capsys):
     assert code == 2 and out == ""
     assert err.startswith(f"error: refusing to list the {digits} trees on 2000 leaves")
     assert "use --count" in err
+
+
+def test_trees_enumerate_refuses_huge_n_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "trees", "enumerate", "--n", "200000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "error: refusing to list the 399995!! (1033543 digits) trees on 200000 leaves "
+        "(at most n=9); use --count to count them\n"
+    )
+
+
+def test_tree_count_size_matches_the_spelled_count():
+    for n in (10, 12, 100, 1999, 2000, 2001, 2500):
+        assert _tree_count_size(n) == f"{len(_tree_count(n))} digits"
 
 
 def test_trop_dissim_tsv(tmp_path, capsys):

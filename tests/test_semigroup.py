@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
@@ -27,6 +28,7 @@ from oracles import (
     character_invariant_dim,
     hook_content_dim,
     is_crossing_free,
+    rooted_shape_form,
     side_away_from_leaf_1,
 )
 from grasstrop import semigroup
@@ -336,9 +338,76 @@ def test_sigma_weight_validation_and_json():
 
 
 def test_invariant_dim_cache_stays_bounded():
-    t = trees_cached(6)[0]
+    # trivalent trees never fold, so contract an edge to get a degree-4 vertex
+    t = contract_edge(trees_cached(6)[0], trees_cached(6)[0].internal_edge_ids[0])
     rng = random.Random(47)
     for _ in range(2000):
         invariant_dim(t, SigmaWeight(t, tuple(2 * rng.randint(0, 30) for _ in t.edge_ids)))
     info = _tensor_invariant_dim.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def _memo_counts(t):
+    """Box 0..4, degree 0..4 and interior 3..8 of one tree."""
+    return (
+        [graded_count(t, box_bound=m) for m in range(5)],
+        [graded_count(t, plucker_degree=d) for d in range(5)],
+        [semigroup._interior_count(t, m) for m in range(3, 9)],
+    )
+
+
+def test_count_memo_hits_equal_cold_walks():
+    rng = random.Random(61)
+    trees = [t for n in range(4, 8) for t in trees_cached(n)]
+    trees += [grown_tree(rng, n) for n in range(8, 41)]
+    semigroup._COUNTS.clear()
+    # every tree after the first of its shape is served from the memo
+    warm = [_memo_counts(t) for t in trees]
+    assert len({t._shape for t in trees}) < len(trees)
+    for t, counts in zip(trees, warm):
+        semigroup._COUNTS.clear()
+        assert _memo_counts(t) == counts
+        box, degree, interior = counts
+        assert degree == [hook_content_dim(t.n, d) for d in range(5)]
+        # the Gorenstein shift: interior at level m is the box at m-3
+        assert interior[:5] == box
+
+
+def test_shape_key_matches_rooted_shape_oracle():
+    rng = random.Random(71)
+    distinct = []
+    for n in range(3, 10):
+        # at n=9, 2000 uniform random trees of the 135135 meet all 23 shapes
+        trees = trees_cached(n) if n < 9 else [grown_tree(rng, 9) for _ in range(2000)]
+        pairs = {(t._shape, rooted_shape_form(t)) for t in trees}
+        keys = {key for key, _ in pairs}
+        assert len(keys) == len({form for _, form in pairs}) == len(pairs)
+        assert all(type(key) is bytes for key in keys)
+        distinct.append(len(keys))
+    assert distinct == [1, 1, 2, 3, 6, 11, 23]
+    star = LabeledTree(4, [(1, 5), (2, 5), (3, 5), (4, 5)])
+    with pytest.raises(ValueError, match="trivalent"):
+        star._shape
+
+
+def test_shape_key_and_counts_on_deep_caterpillars():
+    # paths of 1498 and 4998 internal vertices, deeper than the recursion limit
+    for n in (1500, 5000):
+        t = caterpillar(n)
+        # one pair of names per internal vertex: every one has its own height
+        assert len(t._shape) == 2 * (n - 2) * array("I").itemsize
+        semigroup._COUNTS.clear()
+        assert graded_count(t, plucker_degree=1) == n * (n - 1) // 2
+        assert graded_count(t, box_bound=0) == 1
+
+
+def test_count_memo_stays_bounded():
+    rng = random.Random(67)
+    semigroup._COUNTS.clear()
+    shapes = set()
+    while len(shapes) * 20 <= 2 * semigroup._COUNTS_BOUND:
+        t = grown_tree(rng, rng.randint(10, 14))
+        shapes.add(t._shape)
+        assert gorenstein_witness_check(t, 10) is True
+        assert len(semigroup._COUNTS) <= semigroup._COUNTS_BOUND
+    assert len(semigroup._COUNTS) == semigroup._COUNTS_BOUND

@@ -266,6 +266,7 @@ def test_contract_edge():
         for eid in t5.internal_edge_ids:
             c = contract_edge(t5, eid)
             assert sorted(c.degree(v) for v in c.internal_vertices) == [3, 4]
+            assert not c.is_trivalent
 
 
 def test_contract_all_internal_edges_gives_star():
