@@ -17,7 +17,8 @@ the acceptance test, two cases of graded counts and the tropical layer
 on a 32-leaf tree:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
-  tree with 6 leaves, degrees 1..4;
+  tree with 6 leaves, degrees 1..4, from an empty memo of semigroup
+  counts;
 - `hilbert-caterpillar8-d3`: the same on the 8-leaf caterpillar,
   degrees 1..3;
 - `enumerate-n8`: `enumerate_trivalent(8)`, checked to be 10395
@@ -42,17 +43,17 @@ on a 32-leaf tree:
 - `gorenstein-n4-6`: `gorenstein_witness_check` on each of the 123
   trivalent trees with 4, 5 or 6 leaves, with the arguments of the
   acceptance test (100 samples, the tree's index as seed), each checked
-  True, with the memo of counts cleared first, so the number is cold;
+  True, from an empty memo of counts;
 - `graded-n8-sweep`: `graded_count` in degrees 1..4 and
   `gorenstein_witness_check` on each of the 10395 trivalent trees with 8
-  leaves, built afresh but with the memo of counts kept, so all but the
+  leaves, built afresh, from an empty memo of counts, so all but the
   first tree of each of the 11 rooted shapes are served from it; the
   counts are checked against the hook-content formula and every check
   to be True;
-- `box-caterpillar1500-m2`: one cold `graded_count(t, box_bound=2)` on
-  the 1500-leaf caterpillar, built afresh with the memo cleared, so the
-  number includes the tree's shape key; checked against a transfer
-  matrix along the caterpillar's spine;
+- `box-caterpillar1500-m2`: `graded_count(t, box_bound=2)` on 8 fresh
+  copies of the 1500-leaf caterpillar, each from an empty memo, so every
+  count builds the copy's shape key and walks it; checked against a
+  transfer matrix along the caterpillar's spine;
 - `dissimilarity-n32`, `four-point-n32`, `reconstruct-n32`,
   `from-json-n32` and `from-tsv-n32`: the tropical layer on one seeded
   32-leaf weighted tree (leaf weights of either sign, internal weights
@@ -99,6 +100,16 @@ def _caterpillar(n: int) -> gt.LabeledTree:
 REPEATS = 5
 
 
+def _cold(make):
+    """A set-up that empties the memo of semigroup counts, then calls make."""
+
+    def setup():
+        gt.semigroup._walk_count.cache_clear()
+        return make()
+
+    return setup
+
+
 def _hilbert(make_tree, n: int, d: int):
     n_vars = comb(n, 2)
 
@@ -108,7 +119,7 @@ def _hilbert(make_tree, n: int, d: int):
     def check(rep):
         return rep.passed and [row.d for row in rep.degrees] == list(range(1, d + 1))
 
-    return make_tree, run, check
+    return _cold(make_tree), run, check
 
 
 def _diameters():
@@ -312,8 +323,7 @@ def _decompositions_hold(res) -> bool:
 
 def _gorenstein_trees():
     """Each tree with 4, 5 or 6 leaves and its index among the trees with
-    as many leaves, with the memo of counts cleared."""
-    gt.semigroup._COUNTS.clear()
+    as many leaves."""
     return [(t, idx) for n in (4, 5, 6) for idx, t in enumerate(gt.enumerate_trivalent(n))]
 
 
@@ -338,9 +348,16 @@ def _graded_sweep_holds(rows, n: int = 8) -> bool:
     return len(rows) == gt.double_factorial(2 * n - 5) and all(c == expect and ok is True for c, ok in rows)
 
 
-def _cold_caterpillar():
-    gt.semigroup._COUNTS.clear()
-    return _caterpillar(1500)
+CATERPILLAR_COPIES = 8
+
+
+def _cold_box_counts(trees):
+    """graded_count(t, box_bound=2) on each tree, each from an empty memo."""
+    out = []
+    for t in trees:
+        gt.semigroup._walk_count.cache_clear()
+        out.append(gt.graded_count(t, box_bound=2))
+    return out
 
 
 def _caterpillar_box_count(n: int, m: int) -> int:
@@ -378,15 +395,15 @@ CASES = {
     "axioms-n8": (_axioms_setup, _axioms, _axioms_hold),
     "decompose-box": (_box_members, _decompose_box, _decompositions_hold),
     "gorenstein-n4-6": (
-        _gorenstein_trees,
+        _cold(_gorenstein_trees),
         _gorenstein,
         lambda oks: len(oks) == 123 and all(ok is True for ok in oks),
     ),
-    "graded-n8-sweep": (lambda: gt.enumerate_trivalent(8), _graded_sweep, _graded_sweep_holds),
+    "graded-n8-sweep": (_cold(lambda: gt.enumerate_trivalent(8)), _graded_sweep, _graded_sweep_holds),
     "box-caterpillar1500-m2": (
-        _cold_caterpillar,
-        lambda t: gt.graded_count(t, box_bound=2),
-        lambda c: c == _caterpillar_box_count(1500, 2),
+        lambda: [_caterpillar(1500) for _ in range(CATERPILLAR_COPIES)],
+        _cold_box_counts,
+        lambda counts: counts == [_caterpillar_box_count(1500, 2)] * CATERPILLAR_COPIES,
     ),
     "dissimilarity-n32": (
         _weighted_tree32,

@@ -27,7 +27,7 @@ from . import report as report_mod
 from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
 from .tropical import is_tropical_point, reconstruct_tree
 from .trees import double_factorial, enumerate_trivalent, parse_edge_order
-from .trees import tree_from_json, tree_to_newick
+from .trees import tree_from_json, tree_to_json, tree_to_newick
 from .valuation import valuation_matrix
 
 # Largest n whose trees `trees enumerate` lists: 135135 trees at n=9, while
@@ -101,16 +101,7 @@ def cmd_trees_enumerate(args: argparse.Namespace) -> int:
             f"refusing to list the {count} trees on {n} leaves "
             f"(at most n={_MAX_LISTED_N}); use --count to count them"
         )
-    if args.format == "newick":
-        line = tree_to_newick
-    else:
-        # tree_to_json's text, joined from one cell per edge (u, v), u < v
-        cells = {(u, v): f"[{u},{v}]" for u in range(1, 2 * n - 1) for v in range(u + 1, 2 * n - 1)}
-        head = f'{{"n":{n},"edges":['
-
-        def line(t):
-            return head + ",".join(map(cells.__getitem__, t.edges)) + "]}"
-
+    line = tree_to_newick if args.format == "newick" else tree_to_json
     # the trees go before the lines are joined
     lines = [line(t) for t in enumerate_trivalent(n)]
     _emit(args, "\n".join(lines) + "\n")

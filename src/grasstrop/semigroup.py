@@ -9,16 +9,16 @@ multiset of leaf pairs that is crossing-free in the tree's planar leaf
 order, which `decompose` finds by matching strands in one pass from the
 leaves to leaf 1.
 
-Graded, box and interior counts run one table walk from the leaves to
-leaf 1.  They depend only on the tree's shape rooted at leaf 1, so they
-are memoized by that shape in one memo of at most 1024 counts.
+Graded, box and interior counts depend only on the tree's shape rooted at
+leaf 1.  They run one table walk over that shape, one step per vertex
+type, and are memoized by it in one memo of at most 1024 counts.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from threading import Lock
 from typing import Iterable, Mapping, Sequence
 
 from .trees import EdgeId, LabeledTree, _json_integer, tree_from_json_dict, tree_to_json_dict
@@ -50,9 +50,9 @@ def pieri_dim(i: int, j: int, k: int) -> int:
     return 1 if _first_violation(((0, 1, 2),), (i, j, k)) is None else 0
 
 
-# Only vertices of degree 4 or more fold here (invariant_dim reads trivalent
-# trees off the vertex rule); the bound keeps memory flat however many
-# weights a process tests.
+# Only trees that are not trivalent fold here, all their stars included; a
+# trivalent tree is read off the vertex rule.  The bound keeps memory flat
+# however many weights a process tests.
 @lru_cache(maxsize=1024)
 def _tensor_invariant_dim(vals: tuple[int, ...]) -> int:
     """Invariant dimension of V(a1) (x) ... (x) V(ak), by Clebsch-Gordan folding."""
@@ -236,31 +236,33 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
 
 
 def _table_walk(
-    t: LabeledTree, leaf_table: dict[int, list[tuple[int, int]]], cap: int, slack: int
+    shape: bytes, leaf_table: dict[int, list[tuple[int, int]]], cap: int, slack: int
 ) -> dict[int, list[tuple[int, int]]]:
-    """Post-order table walk from leaf 1; returns the table of leaf 1's edge.
+    """Table walk over a rooted shape code (LabeledTree._shape); returns the
+    table of leaf 1's edge.
 
     The table of an edge maps each leaf sum below it to the list of
     (edge value, number of weights on the subtree below) with a nonzero
-    count; every leaf gets leaf_table.  An internal vertex whose children
-    carry b and c lets its parent edge take the values
-    |b-c|+slack .. min(b+c-slack, cap) of the parity of b+c: slack 0 is the
-    vertex rule of the semigroup, slack 2 its strict form (for an even sum,
-    |b-c| < a < b+c).  Leaf sums above cap are dropped.  Each pair of child
-    entries adds its count to a whole range of values at once, as a
-    difference at both ends that a running sum over values of one parity
-    spreads out.
+    count.  Type 0, a leaf, gets leaf_table, and type k, the k-th pair
+    (i, j) of the code, combines the tables of types i and j, so the walk
+    takes one step per vertex type.  A vertex whose children carry b and c
+    lets its parent edge take the values |b-c|+slack .. min(b+c-slack, cap)
+    of the parity of b+c: slack 0 is the vertex rule of the semigroup,
+    slack 2 its strict form (for an even sum, |b-c| < a < b+c).  Leaf sums
+    above cap are dropped.  Each pair of child entries adds its count to a
+    whole range of values at once, as a difference at both ends that a
+    running sum over values of one parity spreads out.
     """
-    _, children, _, bottom_up = t._rooted
-    tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for v in bottom_up:
-        if v <= t.n:
-            tables[v] = leaf_table
-            continue
-        left, right = children[v]
-        right_table = tables.pop(right).items()
+    code = array("I")
+    code.frombytes(shape)
+    pairs = list(zip(code[::2], code[1::2]))
+    # a table is dropped after the last type that uses it
+    last = {x: k for k, pair in enumerate(pairs, 1) for x in pair}
+    tables: list[dict[int, list[tuple[int, int]]] | None] = [leaf_table]
+    for k, (left, right) in enumerate(pairs, 1):
+        right_table = tables[right].items()
         diffs: dict[int, list[int]] = {}
-        for sb, row_b in tables.pop(left).items():
+        for sb, row_b in tables[left].items():
             for sc, row_c in right_table:
                 stot = sb + sc
                 if stot > cap:
@@ -281,49 +283,34 @@ def _table_walk(
             for a in range(2, cap + 1):
                 diff[a] += diff[a - 2]
             out[stot] = [(a, count) for a, count in enumerate(diff[: cap + 1]) if count]
-        tables[v] = out
-    return tables[bottom_up[-1]]
+        for x in (left, right):
+            if last[x] == k:
+                tables[x] = None
+        tables.append(out)
+    return tables[-1]
 
 
-# (shape, mode, level) -> count; see _memo_count.  1024 entries hold the
-# 20 counts of the Gorenstein check and degrees 1..4 for all 23 shapes at
-# n=9 (552 entries).
-_COUNTS: dict[tuple[bytes, str, int], int] = {}
-_COUNTS_BOUND = 1024
-_COUNTS_LOCK = Lock()
-
-
-def _memo_count(t: LabeledTree, mode: str, level: int) -> int:
-    """The count of one graded piece, looked up by the tree's rooted shape.
+# 1024 entries hold the 20 counts of the Gorenstein check and degrees 1..4
+# for all 23 rooted shapes at n=9 (552 entries).
+@lru_cache(maxsize=1024)
+def _walk_count(shape: bytes, mode: str, level: int) -> int:
+    """The count of one graded piece of every tree of this rooted shape.
 
     Every leaf gets the same table and every vertex applies the same
-    symmetric rule, so a count depends only on t._shape; the table walk
-    runs once per (shape, mode, level), and the oldest entry goes when the
-    memo is full.  Modes: "box" (every edge value at most level),
-    "degree" (leaf values summing to 2*level) and "interior" (see
-    _interior_count).
+    symmetric rule, so a count depends only on the shape, and the memo
+    serves every later tree of the shape.  Modes: "box" (every edge value
+    at most level), "degree" (leaf values summing to 2*level) and
+    "interior" (see _interior_count).
     """
-    key = (t._shape, mode, level)
-    count = _COUNTS.get(key)
-    if count is None:
-        count = _walk_count(t, mode, level)
-        with _COUNTS_LOCK:
-            if key not in _COUNTS and len(_COUNTS) >= _COUNTS_BOUND:
-                del _COUNTS[next(iter(_COUNTS))]
-            _COUNTS[key] = count
-    return count
-
-
-def _walk_count(t: LabeledTree, mode: str, level: int) -> int:
     # Box and interior modes keep the leaf sum at 0 and cap edge values;
     # degree mode caps both at 2*level, and leaf 1's value must bring the
     # sum to 2*level.
     if mode == "box":
-        return _count_all(_table_walk(t, {0: [(a, 1) for a in range(level + 1)]}, level, 0))
+        return _count_all(_table_walk(shape, {0: [(a, 1) for a in range(level + 1)]}, level, 0))
     if mode == "interior":
-        return _count_all(_table_walk(t, {0: [(a, 1) for a in range(1, level)]}, level - 1, 2))
+        return _count_all(_table_walk(shape, {0: [(a, 1) for a in range(1, level)]}, level - 1, 2))
     top = 2 * level
-    table = _table_walk(t, {a: [(a, 1)] for a in range(top + 1)}, top, 0)
+    table = _table_walk(shape, {a: [(a, 1)] for a in range(top + 1)}, top, 0)
     return sum(count for stot, row in table.items() for a, count in row if a + stot == top)
 
 
@@ -339,7 +326,7 @@ def graded_count(
     Exactly one of the two keyword modes must be given: `plucker_degree=d`
     counts weights whose leaf values sum to 2d, `box_bound=m` counts
     weights with every edge value at most m.  Counts are memoized by the
-    tree's rooted shape (see _memo_count).
+    tree's rooted shape (see _walk_count).
     """
     if (plucker_degree is None) == (box_bound is None):
         raise ValueError("give exactly one of plucker_degree= or box_bound=")
@@ -348,16 +335,16 @@ def graded_count(
     if box_bound is not None:
         if box_bound < 0:
             raise ValueError(f"box bound must be nonnegative, got {box_bound}")
-        return _memo_count(t, "box", box_bound)
+        return _walk_count(t._shape, "box", box_bound)
     if plucker_degree < 0:
         raise ValueError(f"degree must be nonnegative, got {plucker_degree}")
-    return _memo_count(t, "degree", plucker_degree)
+    return _walk_count(t._shape, "degree", plucker_degree)
 
 
 def _interior_count(t: LabeledTree, m: int) -> int:
     """Weights at level m in the interior: every edge value in 1..m-1, even
     vertex sums and strict triangle inequalities."""
-    return _memo_count(t, "interior", m)
+    return _walk_count(t._shape, "interior", m)
 
 
 def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> bool:

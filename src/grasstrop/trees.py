@@ -34,7 +34,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -595,8 +595,16 @@ def tree_from_json_dict(obj: Mapping) -> LabeledTree:
     return LabeledTree(n, edges)
 
 
+# The JSON text of one canonical edge.  Trees with up to 9 leaves have fewer
+# than 128 distinct edges, so listing them all hits this on every edge.
+@lru_cache(maxsize=4096)
+def _json_edge(edge: tuple[int, int]) -> str:
+    return "[%d,%d]" % edge
+
+
 def tree_to_json(t: LabeledTree) -> str:
-    return json.dumps(tree_to_json_dict(t), separators=(",", ":"))
+    """Compact JSON of tree_to_json_dict(t), joined directly from the edges."""
+    return f'{{"n":{t.n},"edges":[' + ",".join(map(_json_edge, t.edges)) + "]}"
 
 
 def tree_from_json(text: str) -> LabeledTree:

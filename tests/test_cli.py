@@ -48,13 +48,6 @@ def test_trees_enumerate_json(capsys):
     assert [tree_from_json(s) for s in lines] == list(trees_cached(4))
 
 
-def test_trees_enumerate_json_lines_are_tree_to_json(capsys):
-    for n in (3, 7):
-        code, out, _ = run(capsys, "trees", "enumerate", "--n", str(n))
-        assert code == 0
-        assert out == "".join(tree_to_json(t) + "\n" for t in trees_cached(n))
-
-
 def test_trees_enumerate_newick(capsys):
     code, out, _ = run(capsys, "trees", "enumerate", "--n", "4", "--format", "newick")
     assert code == 0

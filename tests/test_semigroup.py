@@ -360,12 +360,15 @@ def test_count_memo_hits_equal_cold_walks():
     rng = random.Random(61)
     trees = [t for n in range(4, 8) for t in trees_cached(n)]
     trees += [grown_tree(rng, n) for n in range(8, 41)]
-    semigroup._COUNTS.clear()
+    semigroup._walk_count.cache_clear()
     # every tree after the first of its shape is served from the memo
     warm = [_memo_counts(t) for t in trees]
-    assert len({t._shape for t in trees}) < len(trees)
+    shapes = {t._shape for t in trees}
+    assert len(shapes) < len(trees)
+    # one walk per shape and count, none evicted
+    assert semigroup._walk_count.cache_info().misses == 16 * len(shapes)
     for t, counts in zip(trees, warm):
-        semigroup._COUNTS.clear()
+        semigroup._walk_count.cache_clear()
         assert _memo_counts(t) == counts
         box, degree, interior = counts
         assert degree == [hook_content_dim(t.n, d) for d in range(5)]
@@ -396,18 +399,20 @@ def test_shape_key_and_counts_on_deep_caterpillars():
         t = caterpillar(n)
         # one pair of names per internal vertex: every one has its own height
         assert len(t._shape) == 2 * (n - 2) * array("I").itemsize
-        semigroup._COUNTS.clear()
+        semigroup._walk_count.cache_clear()
         assert graded_count(t, plucker_degree=1) == n * (n - 1) // 2
         assert graded_count(t, box_bound=0) == 1
 
 
 def test_count_memo_stays_bounded():
     rng = random.Random(67)
-    semigroup._COUNTS.clear()
+    semigroup._walk_count.cache_clear()
     shapes = set()
-    while len(shapes) * 20 <= 2 * semigroup._COUNTS_BOUND:
+    bound = semigroup._walk_count.cache_info().maxsize
+    assert bound is not None
+    while len(shapes) * 20 <= 2 * bound:
         t = grown_tree(rng, rng.randint(10, 14))
         shapes.add(t._shape)
         assert gorenstein_witness_check(t, 10) is True
-        assert len(semigroup._COUNTS) <= semigroup._COUNTS_BOUND
-    assert len(semigroup._COUNTS) == semigroup._COUNTS_BOUND
+        assert semigroup._walk_count.cache_info().currsize <= bound
+    assert semigroup._walk_count.cache_info().currsize == bound

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -22,6 +23,7 @@ from grasstrop import (
     tree_to_json,
     tree_to_newick,
 )
+from grasstrop.trees import tree_to_json_dict
 from oracles import grown_trivalent_trees, side_away_from_leaf_1
 from util import caterpillar, grown_tree
 
@@ -279,8 +281,15 @@ def test_contract_all_internal_edges_gives_star():
 
 
 def test_json_round_trip():
-    for t in enumerate_trivalent(5):
-        assert tree_from_json(tree_to_json(t)) == t
+    rng = random.Random(29)
+    trees = [t for n in range(3, 8) for t in enumerate_trivalent(n)]
+    trees += [contract_edge(sigma(1), sigma(1).internal_edge_ids[0]), caterpillar(1500)]
+    trees += [grown_tree(rng, n) for n in (60, 120)]
+    for t in trees:
+        text = tree_to_json(t)
+        # the text is joined by hand; it must stay the compact JSON of the dict
+        assert text == json.dumps(tree_to_json_dict(t), separators=(",", ":"))
+        assert tree_from_json(text) == t
     assert tree_to_json(sigma(1)) == '{"n":4,"edges":[[1,5],[2,5],[3,6],[4,6],[5,6]]}'
 
 
