@@ -54,14 +54,22 @@ on a 32-leaf tree:
   copies of the 1500-leaf caterpillar, each from an empty memo, so every
   count builds the copy's shape key and walks it; checked against a
   transfer matrix along the caterpillar's spine;
-- `dissimilarity-n32`, `four-point-n32`, `reconstruct-n32`,
-  `from-json-n32` and `from-tsv-n32`: the tropical layer on one seeded
-  32-leaf weighted tree (leaf weights of either sign, internal weights
-  positive) and its dissimilarity vector d.  `dissimilarity` is checked
-  against sums of weights along `leaf_path`, `is_tropical_point` to pass
-  on all 35960 quadruples, `reconstruct_tree` to return the input tree
-  and weights, and both parsers to read `d.to_json()` and `d.to_tsv()`
-  back to d.
+- `dissimilarity-n32`, `four-point-n32`, `four-point-n32-witnesses`,
+  `reconstruct-n32`, `from-json-n32` and `from-tsv-n32`: the tropical
+  layer on one seeded 32-leaf weighted tree (leaf weights of either
+  sign, internal weights positive) and its dissimilarity vector d.
+  `dissimilarity` is checked against sums of weights along `leaf_path`,
+  `reconstruct_tree` to return the input tree and weights, and both
+  parsers to read `d.to_json()` and `d.to_tsv()` back to d.
+  `four-point-n32` times the verdict of `is_tropical_point` alone;
+  `four-point-n32-witnesses` also builds all 35960 witnesses, as
+  `trop check` does.  Both are checked to accept d and to name every
+  quadruple in order with its three pairing sums, added as Fractions
+  from `d.as_dict()`, and the positions of their maximum;
+- `four-point-n32-reject`: `is_tropical_point` on d with one pair of a
+  maximal pairing of a seeded quadruple raised by 1/2, checked to
+  reject it with the witness of the first quadruple whose maximum is
+  attained once, found the same way.
 
 Only the standard library is used.
 """
@@ -278,6 +286,48 @@ def _path_sums_hold(rd) -> bool:
     }
 
 
+def _witness_of(vals, quad):
+    """(quad, sums, attained) of one quadruple, the sums added as Fractions."""
+    i, j, k, l = quad
+    sums = (vals[i, j] + vals[k, l], vals[i, k] + vals[j, l], vals[i, l] + vals[j, k])
+    return quad, sums, tuple(p for p in range(3) if sums[p] == max(sums))
+
+
+def _witnesses_hold(d, res) -> bool:
+    """res accepts d and names every quadruple, in order, with its sums and maximum."""
+    ok, witnesses = res
+    vals = d.as_dict()
+    quads = list(combinations(range(1, d.n + 1), 4))
+    return ok is True and len(witnesses) == len(quads) and [
+        (w.quad, w.sums, w.attained) for w in witnesses
+    ] == [_witness_of(vals, q) for q in quads]
+
+
+def _read_all_witnesses(d):
+    """is_tropical_point(d) with every witness built, as `trop check` reads them."""
+    ok, witnesses = gt.is_tropical_point(d)
+    return ok, tuple(witnesses)
+
+
+def _perturbed32() -> gt.DissimilarityVector:
+    """d of _weighted_tree32() with one pair of a maximal pairing of a seeded
+    quadruple raised by 1/2, as a new vector."""
+    vals = gt.dissimilarity(_weighted_tree32()).as_dict()
+    i, j, k, l = quad = tuple(sorted(random.Random(4).sample(range(1, 33), 4)))
+    top = _witness_of(vals, quad)[2][0]
+    vals[(((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))[top][0]] += Fraction(1, 2)
+    return gt.DissimilarityVector.of(32, vals)
+
+
+def _first_violation_named(d, res) -> bool:
+    """res rejects d with the witness of its first quadruple whose maximum is attained once."""
+    ok, witnesses = res
+    vals = d.as_dict()
+    ws = (_witness_of(vals, q) for q in combinations(range(1, d.n + 1), 4))
+    first = next(w for w in ws if len(w[2]) == 1)
+    return ok is False and [(w.quad, w.sums, w.attained) for w in witnesses] == [first]
+
+
 def _tropical_case(run, check, text=None):
     """A case on d = dissimilarity of _weighted_tree32(): run gets d, or
     d rendered by text, and check gets (weighting, d, result)."""
@@ -410,9 +460,15 @@ CASES = {
         lambda r: (r, gt.dissimilarity(r)),
         _path_sums_hold,
     ),
-    "four-point-n32": _tropical_case(
-        gt.is_tropical_point,
-        lambda r, d, res: res[0] is True and len(res[1]) == comb(32, 4),
+    "four-point-n32": _tropical_case(gt.is_tropical_point, lambda r, d, res: _witnesses_hold(d, res)),
+    "four-point-n32-witnesses": _tropical_case(
+        _read_all_witnesses,
+        lambda r, d, res: _witnesses_hold(d, res),
+    ),
+    "four-point-n32-reject": (
+        _perturbed32,
+        lambda d: (d, gt.is_tropical_point(d)),
+        lambda res: _first_violation_named(*res),
     ),
     "reconstruct-n32": _tropical_case(
         gt.reconstruct_tree,
@@ -457,6 +513,9 @@ def measure() -> dict:
             result = run(arg)
             runs.append(time.perf_counter() - start)
             ok = ok and bool(check(result))
+            # a live result (35960 witnesses, say) would make the garbage
+            # collector's passes in the next timed run longer
+            del arg, result
         cases[name] = {"median_s": statistics.median(runs), "runs_s": runs, "correct": ok}
         print(f"{name}\t{cases[name]['median_s']:.4f} s\t{'ok' if ok else 'WRONG'}", flush=True)
     return cases

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -167,6 +168,30 @@ class DissimilarityVector:
     def value(self, i: int, j: int) -> Fraction:
         return self.values[_pair_position(self.n, i, j)]
 
+    # The certificate of the four-point condition that is_tropical_point
+    # and reconstruct_tree share: each part is computed at most once.
+
+    @cached_property
+    def _table(self) -> tuple[list[list[int]], int]:
+        """(D, den) with D[i][j] = den * d_ij for a common denominator den.
+
+        _integer_table takes the lcm of the denominators; dissimilarity()
+        fills in its own table over the lcm of the edge weights' ones.
+        """
+        return _integer_table(self)
+
+    @cached_property
+    def _realization(self) -> "EdgeWeighting | None":
+        """The minimal tree realization of self, or None if leaf insertion finds none."""
+        r = _insert_leaves(self)
+        # a weighting that reproduces self certifies the four-point condition
+        return r if r is not None and dissimilarity(r) == self else None
+
+    @cached_property
+    def _violation(self) -> "QuartetWitness | None":
+        """The first quadruple with a unique maximum, or None; see _first_violation."""
+        return _first_violation(self)
+
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(zip(leaf_pairs(self.n), self.values))
 
@@ -279,12 +304,9 @@ def _integer_table(d: DissimilarityVector) -> tuple[list[list[int]], int]:
     return table, den
 
 
-def is_tropical_point(d: DissimilarityVector) -> tuple[bool, tuple[QuartetWitness, ...]]:
-    """Check the four-point condition on every quadruple.
-
-    Returns (True, all witnesses) or (False, (first failing witness,)).
-    """
-    table, den = _integer_table(d)
+def _all_witnesses(d: DissimilarityVector) -> tuple[QuartetWitness, ...]:
+    """The witness of every quadruple i<j<k<l, in combinations order."""
+    table, den = d._table
     exact: dict[int, Fraction] = {}  # integer sum -> the sum as a rational
     witnesses = []
     for i, j, k, l in itertools.combinations(range(1, d.n + 1), 4):
@@ -295,11 +317,96 @@ def is_tropical_point(d: DissimilarityVector) -> tuple[bool, tuple[QuartetWitnes
         for s in sums:
             if s not in exact:
                 exact[s] = Fraction(s, den)
-        w = QuartetWitness((i, j, k, l), (exact[sums[0]], exact[sums[1]], exact[sums[2]]), attained)
-        if len(attained) < 2:
+        witnesses.append(
+            QuartetWitness((i, j, k, l), (exact[sums[0]], exact[sums[1]], exact[sums[2]]), attained)
+        )
+    return tuple(witnesses)
+
+
+def _first_violation(d: DissimilarityVector) -> QuartetWitness | None:
+    """The witness of the first quadruple, in combinations order, whose
+    maximum is attained once, or None if there is none.
+
+    The scan compares integer sums only and builds just that one witness.
+    """
+    table, den = d._table
+    n = d.n
+    for i in range(1, n - 2):
+        di = table[i]
+        for j in range(i + 1, n - 1):
+            dj, dij = table[j], di[j]
+            for k in range(j + 1, n):
+                dk, dik, djk = table[k], di[k], dj[k]
+                for l, a, b, c in zip(range(k + 1, n + 1), dk[k + 1:], dj[k + 1:], di[k + 1:]):
+                    a += dij
+                    b += dik
+                    c += djk
+                    if (a > b and a > c) or (b > a and b > c) or (c > a and c > b):
+                        top = max(a, b, c)
+                        return QuartetWitness(
+                            (i, j, k, l),
+                            (Fraction(a, den), Fraction(b, den), Fraction(c, den)),
+                            _ATTAINED[a == top, b == top, c == top],
+                        )
+    return None
+
+
+class _Witnesses(Sequence):
+    """The witnesses of every quadruple of an accepted vector, built on first read.
+
+    Reads like the tuple _all_witnesses(d) gives: the same items, slices,
+    equality and hash; only its length is known before the first read.
+    """
+
+    __slots__ = ("_d", "_items")
+
+    def __init__(self, d: DissimilarityVector) -> None:
+        self._d = d
+        self._items: tuple[QuartetWitness, ...] | None = None
+
+    def _built(self) -> tuple[QuartetWitness, ...]:
+        if self._items is None:
+            self._items = _all_witnesses(self._d)
+        return self._items
+
+    def __len__(self) -> int:
+        return math.comb(self._d.n, 4)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Witnesses):
+            other = other._built()
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
+def is_tropical_point(d: DissimilarityVector) -> tuple[bool, Sequence[QuartetWitness]]:
+    """Check the four-point condition on every quadruple.
+
+    Returns (True, witnesses) or (False, (first failing witness,)).  A tree
+    with nonnegative internal weights that reproduces d certifies the
+    condition, so an accepted d is decided by leaf insertion, O(n^2), and
+    scans no quadruple: `witnesses` is then a read-only sequence of all
+    C(n,4) witnesses in combinations order, built when first read, that
+    compares and hashes equal to the tuple of them.  Only when insertion
+    finds no realization does an integer scan look for the first quadruple
+    whose maximum is attained once.
+    """
+    if d.n >= 4 and d._realization is None:
+        w = d._violation
+        if w is not None:
             return False, (w,)
-        witnesses.append(w)
-    return True, tuple(witnesses)
+    return True, _Witnesses(d)
 
 
 def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
@@ -311,9 +418,11 @@ def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
     for v, k in t._parent_edge.items():
         nbrs[v].append((parent[v], w[k]))
         nbrs[parent[v]].append((v, w[k]))
+    n = t.n
+    table = [[0] * (n + 1)]
     vals: list[Fraction] = []
-    for i in range(1, t.n):
-        # one walk from leaf i gives its path sums to every later leaf
+    for i in range(1, n):
+        # one walk from leaf i gives its path sums to every leaf
         dist = {i: 0}
         stack = [i]
         while stack:
@@ -322,8 +431,14 @@ def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
                 if u not in dist:
                     dist[u] = dist[v] + x
                     stack.append(u)
-        vals += [Fraction(dist[j], den) for j in range(i + 1, t.n + 1)]
-    return DissimilarityVector(t.n, tuple(vals))
+        row = [0] + [dist[j] for j in range(1, n + 1)]
+        table.append(row)
+        vals += [Fraction(x, den) for x in row[i + 1:]]
+    table.append([0] + [row[n] for row in table[1:]] + [0])
+    d = DissimilarityVector(n, tuple(vals))
+    # the integer table over den is at hand; the four-point certificate reads it
+    d.__dict__["_table"] = (table, den)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +451,7 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
     Returns None as soon as an insertion is inconsistent.  A returned
     weighting is a candidate only: the caller checks that it reproduces d.
     """
-    table, den = _integer_table(d)
+    table, den = d._table
     n = d.n
     # Lengths and positions (distances from leaf 1) are in units of
     # 1/(2 den), so Gromov products are integers.  Adding m/den to every
@@ -422,10 +537,8 @@ def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting
     """
     if d.n < 3:
         raise ValueError(f"reconstruction needs at least 3 leaves, got n={d.n}")
-    r = _insert_leaves(d)
-    # a tree with nonnegative internal weights that realizes d certifies
-    # the four-point condition, so only a failure pays for the full scan
-    if r is not None and dissimilarity(r) == d:
+    r = d._realization
+    if r is not None:
         return r.tree, r
     ok, witnesses = is_tropical_point(d)
     if ok:

@@ -8,8 +8,9 @@ identities, plain exhaustive enumeration for graded and interior counts,
 a breadth-first search on the edge list for the leaves on each side of
 an edge, leaf insertion on plain edge lists, canonicalized by the
 validating constructor, for the enumeration of trivalent trees, chords
-on a circle for crossing-free multisets of leaf pairs, and nested
-sorted strings for the shape of a tree rooted at leaf 1.
+on a circle for crossing-free multisets of leaf pairs, nested
+sorted strings for the shape of a tree rooted at leaf 1, and Fraction
+sums over every leaf quadruple for the four-point condition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from grasstrop import LabeledTree, PlueckerPolynomial, leaf_path
+from grasstrop import DissimilarityVector, LabeledTree, PlueckerPolynomial, leaf_path
+
+Quartet = tuple[tuple[int, int, int, int], tuple[Fraction, Fraction, Fraction], tuple[int, ...]]
 
 
 def character_invariant_dim(vals: tuple[int, ...]) -> int:
@@ -256,3 +259,29 @@ def rooted_shape_form(t: LabeledTree) -> str:
 
     (root,) = nbrs[1]
     return form(root, 1)
+
+
+def quartet(d: DissimilarityVector, quad: tuple[int, int, int, int]) -> Quartet:
+    """(quad, sums, attained) for the quadruple i<j<k<l.
+
+    The sums d_ij + d_kl, d_ik + d_jl, d_il + d_jk are added as Fractions
+    read through d.value; attained lists the positions of their maximum.
+    """
+    i, j, k, l = quad
+    sums = (d.value(i, j) + d.value(k, l), d.value(i, k) + d.value(j, l), d.value(i, l) + d.value(j, k))
+    return quad, sums, tuple(p for p, s in enumerate(sums) if s == max(sums))
+
+
+def four_point(d: DissimilarityVector) -> tuple[bool, list[Quartet]]:
+    """The four-point condition by brute force over every quadruple.
+
+    Returns (True, the quartet of every quadruple in combinations order),
+    or (False, [the quartet of the first one whose maximum is attained once]).
+    """
+    quartets = []
+    for quad in combinations(range(1, d.n + 1), 4):
+        q = quartet(d, quad)
+        if len(q[2]) < 2:
+            return False, [q]
+        quartets.append(q)
+    return True, quartets

@@ -20,7 +20,10 @@ from grasstrop import (
     reconstruct_tree,
     tree_equal,
 )
-from util import caterpillar, grown_tree, random_tree, random_weighting, trees_cached
+import grasstrop.tropical as tropical_mod
+from grasstrop.tropical import NotTropicalError
+from oracles import four_point, quartet
+from util import caterpillar, grown_tree, random_rational, random_tree, random_weighting, trees_cached
 
 
 def sigma(k):
@@ -141,9 +144,7 @@ def test_round_trip_large_trees():
 
 def reference_witness(d, quad):
     """The witness of one quadruple, its sums taken in Fractions through d.value."""
-    i, j, k, l = quad
-    sums = (d.value(i, j) + d.value(k, l), d.value(i, k) + d.value(j, l), d.value(i, l) + d.value(j, k))
-    return QuartetWitness(quad, sums, tuple(p for p, s in enumerate(sums) if s == max(sums)))
+    return QuartetWitness(*quartet(d, quad))
 
 
 def reference_error(d):
@@ -226,6 +227,171 @@ def test_witness_sums_match_fraction_sums():
                 refs = [reference_witness(v, q) for q in itertools.combinations(range(1, n + 1), 4)]
                 bad = [w for w in refs if not w.ok]
                 assert is_tropical_point(v) == ((False, (bad[0],)) if bad else (True, tuple(refs)))
+
+
+def four_point_corpus():
+    """Seeded vectors for the four-point oracle, n = 2..12, accepted and rejected."""
+    rng = random.Random(67)
+    for n in (2, 3):
+        yield DissimilarityVector(n, tuple(random_rational(rng) for _ in range(n * (n - 1) // 2)))
+    for n in range(4, 13):
+        pairs = n * (n - 1) // 2
+        t = grown_tree(rng, n)
+        for zeros in (False, True):
+            # leaf weights of either sign, mixed denominators; with zeros,
+            # internal weights 0 contract their edges
+            weights = {
+                eid: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+                if eid.startswith("l")
+                else Fraction(rng.choice((0, 0, 1, 4)) if zeros else rng.randint(1, 9), rng.choice((1, 2, 3, 5)))
+                for eid in t.edge_ids
+            }
+            d = dissimilarity(EdgeWeighting.of(t, weights))
+            yield d
+            yield perturbed(rng, d)
+            yield DissimilarityVector(n, tuple(d.values))  # without the table dissimilarity hands over
+        # all three sums attained at every quadruple
+        yield DissimilarityVector(n, (Fraction(5, 2),) * pairs)
+        yield DissimilarityVector(n, (Fraction(-3),) * pairs)
+        yield DissimilarityVector(n, tuple(random_rational(rng) for _ in range(pairs)))
+
+
+def oracle_mismatches():
+    """The corpus vectors on which is_tropical_point or reconstruct_tree
+    disagree with the brute-force oracle, as text."""
+    bad = []
+    for d in four_point_corpus():
+        ok, witnesses = is_tropical_point(d)
+        got = (ok, [(w.quad, w.sums, w.attained) for w in witnesses])
+        if got != four_point(d):
+            bad.append(f"is_tropical_point {d}")
+        if d.n < 3:
+            continue
+        try:
+            t, r = reconstruct_tree(d)
+        except NotTropicalError as exc:
+            if ok or exc.witness != witnesses[0]:
+                bad.append(f"reconstruct_tree refused {d}")
+        else:
+            if not ok or dissimilarity(r) != d or any(r.weight(e) <= 0 for e in t.internal_edge_ids):
+                bad.append(f"reconstruct_tree {d}")
+    return bad
+
+
+def test_four_point_matches_the_oracle():
+    verdicts = [is_tropical_point(d)[0] for d in four_point_corpus()]
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 20
+    assert oracle_mismatches() == []
+
+
+def test_four_point_matches_the_oracle_in_optimized_mode():
+    # python -O strips assert statements; the verdicts must not depend on them
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    code = "import test_tropical\nprint(test_tropical.oracle_mismatches())\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout == "[]\n"
+
+
+def counted(monkeypatch, name):
+    """Replace tropical_mod.<name> by a wrapper and return its list of calls."""
+    calls = []
+    original = getattr(tropical_mod, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tropical_mod, name, wrapper)
+    return calls
+
+
+def test_accepted_vector_scans_no_quartet_until_read(monkeypatch):
+    built = counted(monkeypatch, "_all_witnesses")
+    scanned = counted(monkeypatch, "_first_violation")
+    rng = random.Random(71)
+    d = dissimilarity(random_weighting(rng, grown_tree(rng, 12)))
+    ok, witnesses = is_tropical_point(d)
+    assert ok and len(witnesses) == 495
+    assert built == [] and scanned == []
+    assert witnesses[0].quad == (1, 2, 3, 4)
+    assert len(built) == 1
+    assert len(list(witnesses)) == 495 and witnesses[-1].quad == (9, 10, 11, 12)
+    assert len(built) == 1 and scanned == []
+
+
+def test_certificate_inserts_leaves_once(monkeypatch):
+    inserted = counted(monkeypatch, "_insert_leaves")
+    rng = random.Random(73)
+    r = random_weighting(rng, grown_tree(rng, 10))
+    d = dissimilarity(r)
+    assert is_tropical_point(d)[0]
+    assert reconstruct_tree(d) == (r.tree, r)
+    assert is_tropical_point(d)[0]
+    assert len(inserted) == 1
+    bad = perturbed(rng, d)
+    assert not is_tropical_point(bad)[0]
+    with pytest.raises(NotTropicalError):
+        reconstruct_tree(bad)
+    assert len(inserted) == 2
+
+
+def test_lazy_witnesses_read_like_a_tuple():
+    rng = random.Random(79)
+    d = dissimilarity(random_weighting(rng, grown_tree(rng, 7)))
+    ref = tuple(reference_witness(d, q) for q in itertools.combinations(range(1, 8), 4))
+    ok, witnesses = is_tropical_point(d)
+    assert ok and len(witnesses) == len(ref) == 35
+    assert witnesses[-1] == ref[-1] and witnesses[-35] == ref[0]
+    with pytest.raises(IndexError):
+        witnesses[35]
+    assert witnesses[3:9] == ref[3:9] and witnesses[::-4] == ref[::-4]
+    assert type(witnesses[1:3]) is tuple
+    assert list(witnesses) == list(ref) and list(reversed(witnesses)) == list(reversed(ref))
+    assert witnesses == ref and ref == witnesses and not witnesses != ref
+    assert witnesses != list(ref) and witnesses != ref[:-1]
+    assert witnesses == is_tropical_point(d)[1]
+    assert hash(witnesses) == hash(ref) and {ref: 1}[witnesses] == 1
+    assert is_tropical_point(d) == (True, ref)
+    assert ref[5] in witnesses and witnesses.index(ref[5]) == 5
+    assert repr(witnesses) == repr(ref)
+    # fewer than four leaves: no quadruple
+    assert is_tropical_point(DissimilarityVector(3, (1, 2, 3))) == (True, ())
+    # a rejected vector still returns a real 1-tuple
+    bad = is_tropical_point(perturbed(rng, d))
+    assert not bad[0] and type(bad[1]) is tuple and len(bad[1]) == 1
+
+
+def test_failed_insertion_leaves_the_verdict_to_the_scan(monkeypatch):
+    monkeypatch.setattr(tropical_mod, "_insert_leaves", lambda d: None)
+    rng = random.Random(83)
+    d = dissimilarity(random_weighting(rng, grown_tree(rng, 8)))
+    ref = tuple(reference_witness(d, q) for q in itertools.combinations(range(1, 9), 4))
+    assert is_tropical_point(d) == (True, ref)
+    with pytest.raises(RuntimeError, match="leaf insertion failed"):
+        reconstruct_tree(d)
+    bad = perturbed(rng, d)
+    assert is_tropical_point(bad) == four_point_verdict(bad)
+
+
+def test_a_candidate_that_misses_d_certifies_nothing(monkeypatch):
+    # insertion only proposes a weighting; acceptance needs it to reproduce d
+    rng = random.Random(89)
+    r = random_weighting(rng, grown_tree(rng, 8))
+    monkeypatch.setattr(tropical_mod, "_insert_leaves", lambda d: r)
+    bad = perturbed(rng, dissimilarity(r))
+    assert is_tropical_point(bad) == four_point_verdict(bad)
+    with pytest.raises(NotTropicalError):
+        reconstruct_tree(bad)
+
+
+def four_point_verdict(d):
+    """The oracle's verdict with its quartets as witnesses."""
+    ok, quartets = four_point(d)
+    return ok, tuple(QuartetWitness(*q) for q in quartets)
 
 
 def test_dissimilarity_matches_leaf_path_sums():
