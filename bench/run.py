@@ -41,9 +41,8 @@ on a 32-leaf tree:
   sum back to the weight and to be crossing-free in the planar leaf
   order;
 - `gorenstein-n4-6`: `gorenstein_witness_check` on each of the 123
-  trivalent trees with 4, 5 or 6 leaves, with the arguments of the
-  acceptance test (100 samples, the tree's index as seed), each checked
-  True, from an empty memo of counts;
+  trivalent trees with 4, 5 or 6 leaves, each checked True, from an
+  empty memo of counts;
 - `graded-n8-sweep`: `graded_count` in degrees 1..4 and
   `gorenstein_witness_check` on each of the 10395 trivalent trees with 8
   leaves, built afresh, from an empty memo of counts, so all but the
@@ -372,13 +371,12 @@ def _decompositions_hold(res) -> bool:
 
 
 def _gorenstein_trees():
-    """Each tree with 4, 5 or 6 leaves and its index among the trees with
-    as many leaves."""
-    return [(t, idx) for n in (4, 5, 6) for idx, t in enumerate(gt.enumerate_trivalent(n))]
+    """Each tree with 4, 5 or 6 leaves."""
+    return [t for n in (4, 5, 6) for t in gt.enumerate_trivalent(n)]
 
 
 def _gorenstein(trees):
-    return [gt.gorenstein_witness_check(t, 100, seed=idx) for t, idx in trees]
+    return [gt.gorenstein_witness_check(t) for t in trees]
 
 
 SWEEP_DEGREES = range(1, 5)
@@ -386,7 +384,7 @@ SWEEP_DEGREES = range(1, 5)
 
 def _graded_sweep(trees):
     return [
-        ([gt.graded_count(t, plucker_degree=d) for d in SWEEP_DEGREES], gt.gorenstein_witness_check(t, 10))
+        ([gt.graded_count(t, plucker_degree=d) for d in SWEEP_DEGREES], gt.gorenstein_witness_check(t))
         for t in trees
     ]
 

@@ -25,8 +25,8 @@ from math import floor, lgamma, log
 
 from . import report as report_mod
 from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
-from .tropical import is_tropical_point, reconstruct_tree
-from .trees import double_factorial, enumerate_trivalent, parse_edge_order
+from .tropical import _WEIGHTING_SHAPE, is_tropical_point, reconstruct_tree
+from .trees import _json_object, double_factorial, enumerate_trivalent, parse_edge_order
 from .trees import tree_from_json, tree_to_json, tree_to_newick
 from .valuation import valuation_matrix
 
@@ -109,7 +109,7 @@ def cmd_trees_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_trop_dissim(args: argparse.Namespace) -> int:
-    r = EdgeWeighting.from_json_dict(json.loads(_read_text(args.input)))
+    r = EdgeWeighting.from_json_dict(_json_object(_read_text(args.input), _WEIGHTING_SHAPE))
     d = dissimilarity(r)
     if (args.format or "tsv") == "json":
         _emit(args, d.to_json() + "\n")
@@ -165,81 +165,50 @@ def build_parser() -> argparse.ArgumentParser:
         "of the Grassmannian of planes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: list[argparse.ArgumentParser] = []
 
-    p_trees = sub.add_parser("trees", help="tree enumeration")
-    trees_sub = p_trees.add_subparsers(dest="subcommand", required=True)
-    p_enum = trees_sub.add_parser(
-        "enumerate", help="list trivalent trees in canonical order"
-    )
+    def command(group, name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = group.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        commands.append(p)
+        return p
+
+    def group(name: str, summary: str):
+        return sub.add_parser(name, help=summary).add_subparsers(dest="subcommand", required=True)
+
+    trees = group("trees", "tree enumeration")
+    p_enum = command(trees, "enumerate", cmd_trees_enumerate, "list trivalent trees in canonical order")
     p_enum.add_argument("--n", type=int, required=True, help="number of leaves")
-    p_enum.add_argument(
-        "--count", action="store_true", help="print only the number of trees"
-    )
+    p_enum.add_argument("--count", action="store_true", help="print only the number of trees")
     p_enum.add_argument("--format", choices=["json", "newick"], default=None)
-    p_enum.add_argument("--output", "-o", default=None)
-    p_enum.set_defaults(func=cmd_trees_enumerate)
 
-    p_trop = sub.add_parser("trop", help="tropical Grassmannian operations")
-    trop_sub = p_trop.add_subparsers(dest="subcommand", required=True)
+    trop = group("trop", "tropical Grassmannian operations")
+    detected = "input format, detected from content when omitted"
+    for name, func, summary, format_help in (
+        ("dissim", cmd_trop_dissim, "dissimilarity vector of an edge weighting (JSON in)", None),
+        ("check", cmd_trop_check, "four-point condition check (exit 1 when violated)", detected),
+        ("reconstruct", cmd_trop_reconstruct, "tree and weights realizing a tropical vector", detected),
+    ):
+        p_trop = command(trop, name, func, summary)
+        p_trop.add_argument("--input", "-i", required=True, help='file or "-"')
+        p_trop.add_argument("--format", choices=["tsv", "json"], default=None, help=format_help)
 
-    p_dissim = trop_sub.add_parser(
-        "dissim", help="dissimilarity vector of an edge weighting (JSON in)"
-    )
-    p_dissim.add_argument("--input", "-i", required=True, help='file or "-"')
-    p_dissim.add_argument("--format", choices=["tsv", "json"], default=None)
-    p_dissim.add_argument("--output", "-o", default=None)
-    p_dissim.set_defaults(func=cmd_trop_dissim)
-
-    p_check = trop_sub.add_parser(
-        "check", help="four-point condition check (exit 1 when violated)"
-    )
-    p_check.add_argument("--input", "-i", required=True, help='file or "-"')
-    p_check.add_argument(
-        "--format",
-        choices=["tsv", "json"],
-        default=None,
-        help="input format, detected from content when omitted",
-    )
-    p_check.add_argument("--output", "-o", default=None)
-    p_check.set_defaults(func=cmd_trop_check)
-
-    p_rec = trop_sub.add_parser(
-        "reconstruct", help="tree and weights realizing a tropical vector"
-    )
-    p_rec.add_argument("--input", "-i", required=True, help='file or "-"')
-    p_rec.add_argument(
-        "--format",
-        choices=["tsv", "json"],
-        default=None,
-        help="input format, detected from content when omitted",
-    )
-    p_rec.add_argument("--output", "-o", default=None)
-    p_rec.set_defaults(func=cmd_trop_reconstruct)
-
-    p_val = sub.add_parser("val", help="valuation operations")
-    val_sub = p_val.add_subparsers(dest="subcommand", required=True)
-    p_matrix = val_sub.add_parser(
-        "matrix", help="valuation matrix of a tree for an edge order"
-    )
+    val = group("val", "valuation operations")
+    p_matrix = command(val, "matrix", cmd_val_matrix, "valuation matrix of a tree for an edge order")
     p_matrix.add_argument("--tree", required=True, help='tree JSON file or "-"')
     p_matrix.add_argument(
-        "--order",
-        default=None,
-        help="comma-separated edge ids; defaults to the canonical order",
+        "--order", default=None, help="comma-separated edge ids; defaults to the canonical order"
     )
-    p_matrix.add_argument("--output", "-o", default=None)
-    p_matrix.set_defaults(func=cmd_val_matrix)
 
-    p_example = sub.add_parser(
-        "paper-example",
-        help="recompute the four-leaf worked example and diff against golden",
+    p_example = command(
+        sub, "paper-example", cmd_paper_example,
+        "recompute the four-leaf worked example and diff against golden",
     )
-    p_example.add_argument(
-        "--emit", action="store_true", help="print the report without comparing"
-    )
-    p_example.add_argument("--output", "-o", default=None)
-    p_example.set_defaults(func=cmd_paper_example)
+    p_example.add_argument("--emit", action="store_true", help="print the report without comparing")
 
+    # last, so that it closes every option list
+    for p in commands:
+        p.add_argument("--output", "-o", default=None)
     return parser
 
 
@@ -248,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

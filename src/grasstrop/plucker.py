@@ -411,86 +411,47 @@ def format_polynomial(f: PlueckerPolynomial) -> str:
     return "".join(parts)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<var>p\[\s*\d+\s*,\s*\d+\s*\])|(?P<num>\d+(?:/\d+)?|\d*\.\d+)"
-    r"|(?P<op>[\^*+-]))"
+# One factor and the sign or '*' before it: p[i,j] with an optional exponent,
+# or a coefficient a, a/b or a decimal.  The exponent takes every digit, '.'
+# and '/' after the '^', so "^1.5" and "^1/2" are refused whole instead of
+# read as an exponent times a coefficient.
+_FACTOR = re.compile(
+    r"\s*(?P<join>[-+*]?)\s*"
+    r"(?:p\[\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*\](?:\s*\^\s*(?P<exp>[\d./]*))?|(?P<num>\d+(?:/\d+)?|\d*\.\d+))"
 )
-_VAR = re.compile(r"p\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 
 
 def parse_polynomial(text: str) -> PlueckerPolynomial:
-    """Parse the format produced by format_polynomial."""
-    tokens: list[tuple[str, str]] = []
-    pos = 0
+    """Parse the format produced by format_polynomial.
+
+    Factors are joined by '*' or blanks and terms by '+' or '-'; the text
+    may open with a sign, and "0" is the zero polynomial.
+    """
     text = text.strip()
     if text == "0":
         return PlueckerPolynomial.zero()
+    monomials: list[dict[Pair, int]] = []
+    coeffs: list[Fraction] = []
+    pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"cannot tokenize polynomial at ...{text[pos:pos+20]!r}")
+        m = _FACTOR.match(text, pos)
+        if m is None or (m["join"] == "*" and not coeffs):
+            raise ValueError(f"cannot parse polynomial at ...{text[pos:pos + 20]!r}")
+        if m["join"] in ("+", "-") or not coeffs:
+            monomials.append({})
+            coeffs.append(Fraction(-1 if m["join"] == "-" else 1))
+        if m["num"] is not None:
+            try:
+                coeffs[-1] *= Fraction(m["num"])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {m['num']!r}") from None
+        else:
+            exp = m["exp"]
+            if exp is not None and not exp.isdecimal():
+                raise ValueError("exponent must be a plain integer")
+            pr = _check_pair((int(m["i"]), int(m["j"])))
+            monomials[-1][pr] = monomials[-1].get(pr, 0) + (1 if exp is None else int(exp))
         pos = m.end()
-        for kind in ("var", "num", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
-    terms: list[tuple[PlueckerMonomial, Fraction]] = []
-    i = 0
-
-    def parse_term(sign: int) -> None:
-        nonlocal i
-        coeff = Fraction(sign)
-        pairs: dict[Pair, int] = {}
-        saw_factor = False
-        expect_factor = True
-        while i < len(tokens):
-            kind, tok = tokens[i]
-            if kind == "op" and tok in "+-" and not expect_factor:
-                break
-            if kind == "num":
-                coeff *= Fraction(tok)
-                saw_factor = True
-                i += 1
-            elif kind == "var":
-                vm = _VAR.fullmatch(tok)
-                assert vm is not None
-                pr = _check_pair((int(vm.group(1)), int(vm.group(2))))
-                exp = 1
-                i += 1
-                if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
-                    if tokens[i + 1][0] != "num" or "/" in tokens[i + 1][1] or "." in tokens[i + 1][1]:
-                        raise ValueError("exponent must be a plain integer")
-                    exp = int(tokens[i + 1][1])
-                    i += 2
-                pairs[pr] = pairs.get(pr, 0) + exp
-                saw_factor = True
-            elif kind == "op" and tok == "*":
-                if expect_factor:
-                    raise ValueError("'*' must follow a coefficient or variable")
-                i += 1
-                expect_factor = True
-                continue
-            else:
-                raise ValueError(f"unexpected token {tok!r} in polynomial")
-            expect_factor = False
-        if not saw_factor:
-            raise ValueError("empty term in polynomial")
-        if expect_factor:
-            raise ValueError("dangling '*' at the end of a term")
-        terms.append((PlueckerMonomial.of(pairs), coeff))
-
-    # leading sign
-    sign = 1
-    if tokens and tokens[0] == ("op", "-"):
-        sign = -1
-        i = 1
-    elif tokens and tokens[0] == ("op", "+"):
-        i = 1
-    parse_term(sign)
-    while i < len(tokens):
-        kind, tok = tokens[i]
-        if kind != "op" or tok not in "+-":
-            raise ValueError(f"expected + or - between terms, got {tok!r}")
-        i += 1
-        parse_term(1 if tok == "+" else -1)
-    return PlueckerPolynomial(tuple(terms))
+    if not coeffs:
+        raise ValueError("empty polynomial")
+    return PlueckerPolynomial(tuple((PlueckerMonomial.of(e), c) for e, c in zip(monomials, coeffs)))

@@ -347,7 +347,16 @@ def _interior_count(t: LabeledTree, m: int) -> int:
     return _walk_count(t._shape, "interior", m)
 
 
-def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> bool:
+def _gorenstein_witness(t: LabeledTree) -> tuple[int, int, int] | None:
+    """(m, interior count at level m, box count at level m-3) for the first
+    level m in 3..12 where the two differ, or None when none does."""
+    if not t.is_trivalent:
+        raise ValueError("the witness check is defined for trivalent trees")
+    counts = ((m, _interior_count(t, m), graded_count(t, box_bound=m - 3)) for m in range(3, 13))
+    return next((c for c in counts if c[1] != c[2]), None)
+
+
+def gorenstein_witness_check(t: LabeledTree, samples: int | None = None, *, seed: int | None = None) -> bool:
     """Check the Gorenstein shift exactly on the levels m = 3..12.
 
     The interior at level m (every edge value in 1..m-1, even vertex sums,
@@ -357,8 +366,6 @@ def gorenstein_witness_check(t: LabeledTree, samples: int, *, seed: int = 0) -> 
     the same table walk, memoized by shape, and the result is False at the
     first level where the interior count differs from
     graded_count(t, box_bound=m-3).
-    `samples` and `seed` are accepted for compatibility and no longer used.
+    `samples` and `seed` are ignored, left from the earlier sampling check.
     """
-    if not t.is_trivalent:
-        raise ValueError("the witness check is defined for trivalent trees")
-    return all(_interior_count(t, m) == graded_count(t, box_bound=m - 3) for m in range(3, 13))
+    return _gorenstein_witness(t) is None

@@ -584,6 +584,19 @@ def _json_integer(value: object, what: str) -> int:
     return value
 
 
+def _json_object(text: str, shape: str) -> dict:
+    """The JSON object in `text`.  Malformed JSON, JSON nested past the
+    interpreter's recursion limit and any value but an object raise
+    ValueError, the last with the message `shape`."""
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(shape)
+    return obj
+
+
 def tree_from_json_dict(obj: Mapping) -> LabeledTree:
     try:
         n = _json_integer(obj["n"], "'n'")
@@ -608,13 +621,7 @@ def tree_to_json(t: LabeledTree) -> str:
 
 
 def tree_from_json(text: str) -> LabeledTree:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("tree JSON must be an object with keys 'n' and 'edges'")
-    return tree_from_json_dict(obj)
+    return tree_from_json_dict(_json_object(text, "tree JSON must be an object with keys 'n' and 'edges'"))
 
 
 def tree_to_newick(t: LabeledTree, weights: Mapping[EdgeId, Fraction] | None = None) -> str:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .trees import EdgeId, LabeledTree, _json_integer, tree_from_json_dict, tree_to_json_dict
+from .trees import EdgeId, LabeledTree, _json_integer, _json_object, tree_from_json_dict, tree_to_json_dict
 
 Rational = Fraction
 
@@ -87,6 +87,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+_WEIGHTING_SHAPE = "weighting JSON must be an object with keys 'tree' and 'weights'"
+
+
 @dataclass(frozen=True)
 class EdgeWeighting:
     """Rational weight per edge of a tree; internal weights must be >= 0."""
@@ -131,7 +134,7 @@ class EdgeWeighting:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "EdgeWeighting":
         if not isinstance(obj, dict):
-            raise ValueError("weighting JSON must be an object with keys 'tree' and 'weights'")
+            raise ValueError(_WEIGHTING_SHAPE)
         try:
             tree_obj, raw = obj["tree"], obj["weights"]
         except KeyError as exc:
@@ -242,12 +245,10 @@ class DissimilarityVector:
 
     @classmethod
     def from_json(cls, text: str) -> "DissimilarityVector":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "n" not in obj or "d" not in obj:
-            raise ValueError("dissimilarity JSON must be an object with keys 'n' and 'd'")
+        shape = "dissimilarity JSON must be an object with keys 'n' and 'd'"
+        obj = _json_object(text, shape)
+        if "n" not in obj or "d" not in obj:
+            raise ValueError(shape)
         if not isinstance(obj["d"], dict):
             raise ValueError("dissimilarity JSON key 'd' must hold an object of 'i,j' entries")
         n = _json_integer(obj["n"], "dissimilarity JSON key 'n'")

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import random
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from grasstrop import report
-from grasstrop.cli import _tree_count, _tree_count_size, main
+from grasstrop.cli import _tree_count, _tree_count_size, build_parser, main
 from grasstrop.trees import double_factorial, enumerate_trivalent, tree_from_json, tree_to_json
 from util import trees_cached
 
@@ -260,6 +261,10 @@ def test_malformed_json_input(capsys, monkeypatch):
         (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '"3,0_4"')),
         (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '"\u0663,4"')),
         (("trop", "check"), TROPICAL_TSV.replace("3\t4\t2", "3\t+4\t2")),
+        (("trop", "dissim"), '{"a":' * 5000),
+        (("trop", "check"), '{"a":' * 5000),
+        (("trop", "reconstruct"), '{"a":' * 5000),
+        (("val", "matrix"), "[" * 1000),
     ],
     ids=[
         "check-d-list", "reconstruct-d-list", "dissim-list", "dissim-tree-list",
@@ -268,13 +273,15 @@ def test_malformed_json_input(capsys, monkeypatch):
         "check-n-float", "reconstruct-n-integral-float", "check-n-bool", "dissim-n-integral-float",
         "dissim-vertex-bool", "check-key-plus-sign", "check-key-space", "check-key-underscore",
         "check-key-arabic-indic-digit", "check-tsv-index-plus-sign",
+        "dissim-nested-past-recursion-limit", "check-nested-past-recursion-limit",
+        "reconstruct-nested-past-recursion-limit", "matrix-nested-past-recursion-limit",
     ],
 )
 def test_wrong_shape_json_exits_2(capsys, monkeypatch, argv, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run(capsys, *argv, "--input", "-")
+    code, out, err = run(capsys, *argv, "--tree" if argv[0] == "val" else "--input", "-")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -291,6 +298,50 @@ def test_val_matrix_refuses_non_integer_json(capsys, monkeypatch, text):
     code, out, err = run(capsys, "val", "matrix", "--tree", "-")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "must be an integer" in err
+
+
+_OUTPUT = (("--output", "-o"), None, None, None, False)
+_TROP_INPUT = (("--input", "-i"), 'file or "-"', None, None, True)
+_DETECTED = "input format, detected from content when omitted"
+# (option strings, help, choices, default, required) of every option, in
+# declaration order; the help text layout differs between Python versions,
+# these fields do not
+CLI_OPTIONS = {
+    "trees enumerate": [
+        (("--n",), "number of leaves", None, None, True),
+        (("--count",), "print only the number of trees", None, False, False),
+        (("--format",), None, ("json", "newick"), None, False),
+        _OUTPUT,
+    ],
+    "trop dissim": [_TROP_INPUT, (("--format",), None, ("tsv", "json"), None, False), _OUTPUT],
+    "trop check": [_TROP_INPUT, (("--format",), _DETECTED, ("tsv", "json"), None, False), _OUTPUT],
+    "trop reconstruct": [_TROP_INPUT, (("--format",), _DETECTED, ("tsv", "json"), None, False), _OUTPUT],
+    "val matrix": [
+        (("--tree",), 'tree JSON file or "-"', None, None, True),
+        (("--order",), "comma-separated edge ids; defaults to the canonical order", None, None, False),
+        _OUTPUT,
+    ],
+    "paper-example": [(("--emit",), "print the report without comparing", None, False, False), _OUTPUT],
+}
+
+
+def test_cli_options_are_pinned():
+    table = {}
+
+    def walk(parser, path):
+        rows = []
+        for a in parser._actions:
+            if isinstance(a, argparse._SubParsersAction):
+                for name, sub in a.choices.items():
+                    walk(sub, path + (name,))
+            elif not isinstance(a, argparse._HelpAction):
+                choices = None if a.choices is None else tuple(a.choices)
+                rows.append((tuple(a.option_strings), a.help, choices, a.default, a.required))
+        if rows:
+            table[" ".join(path)] = rows
+
+    walk(build_parser(), ())
+    assert table == CLI_OPTIONS
 
 
 def test_usage_errors_exit_2(capsys):
@@ -320,9 +371,9 @@ def test_round_trip_tree_json():
 
 
 def test_mutated_inputs_keep_the_exit_code_contract(capsys, monkeypatch):
-    # 1-4 edits of valid inputs (a character, or a number swapped for 4.9
-    # or true), fixed seed: every run must end in 0, 1 or 2 without an
-    # exception escaping main
+    # 1-4 edits of valid inputs (a character, a number swapped for 4.9 or
+    # true, or brackets nested past the recursion limit), fixed seed: every
+    # run must end in 0, 1 or 2 without an exception escaping main
     cases = [
         (("trop", "dissim", "--input", "-"), ONES_WEIGHTING),
         (("trop", "check", "--input", "-"), TROPICAL_TSV),
@@ -339,9 +390,11 @@ def test_mutated_inputs_keep_the_exit_code_contract(capsys, monkeypatch):
         chars = list(text)
         for _ in range(rng.randint(1, 4)):
             pos = rng.randrange(len(chars) + 1)
-            op = rng.randrange(4)
+            op = rng.randrange(5)
             numbers = [m.span() for m in re.finditer(r"\d+", "".join(chars))]
-            if op == 3 and numbers:
+            if op == 4:
+                chars[pos:pos] = "[" * 5000
+            elif op == 3 and numbers:
                 # a non-integer number or a boolean where an integer stood
                 start, end = rng.choice(numbers)
                 chars[start:end] = rng.choice(("4.9", "true"))

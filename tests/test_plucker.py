@@ -125,7 +125,10 @@ def test_parse_accepts_spacing_variants():
 
 
 def test_parse_errors():
-    bads = ("p[1,1]", "p[2,1]", "p[1,2]*", "*p[1,2]", "p[1", "q[1,2]", "", "p[1,2]^1/2")
+    bads = (
+        "p[1,1]", "p[2,1]", "p[1,2]*", "*p[1,2]", "p[1", "q[1,2]", "", "p[1,2]^1/2",
+        "1/0*p[1,2]", "p[1,2]^1.5",
+    )
     for bad in bads:
         with pytest.raises(ValueError):
             parse_polynomial(bad)

@@ -294,20 +294,22 @@ def test_gorenstein_witness_check():
     assert in_semigroup(t, two)
     for n in (4, 5):
         for t in trees_cached(n):
-            assert gorenstein_witness_check(t, 40, seed=7) is True
+            assert gorenstein_witness_check(t) is True
     # the first 8-leaf tree with 10 samples and seed 0 made the earlier
-    # rejection sampler give up
+    # rejection sampler give up; the sampler's arguments are still accepted
     assert gorenstein_witness_check(trees_cached(8)[0], 10, seed=0) is True
     rng = random.Random(59)
     for n in (8, 8, 12, 12):
-        assert gorenstein_witness_check(grown_tree(rng, n), 10, seed=rng.randrange(100)) is True
+        assert gorenstein_witness_check(grown_tree(rng, n)) is True
 
 
 def test_gorenstein_witness_check_fails_on_a_mismatch(monkeypatch):
     t = sigma(2)
     real = semigroup._interior_count
     monkeypatch.setattr(semigroup, "_interior_count", lambda u, m: real(u, m) + (m == 9))
-    assert gorenstein_witness_check(t, 10) is False
+    assert gorenstein_witness_check(t) is False
+    m, interior, box = semigroup._gorenstein_witness(t)
+    assert m == 9 and interior == box + 1 == graded_count(t, box_bound=6) + 1
 
 
 def test_sigma_weight_validation_and_json():
@@ -413,6 +415,6 @@ def test_count_memo_stays_bounded():
     while len(shapes) * 20 <= 2 * bound:
         t = grown_tree(rng, rng.randint(10, 14))
         shapes.add(t._shape)
-        assert gorenstein_witness_check(t, 10) is True
+        assert gorenstein_witness_check(t) is True
         assert semigroup._walk_count.cache_info().currsize <= bound
     assert semigroup._walk_count.cache_info().currsize == bound
