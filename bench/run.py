@@ -13,8 +13,8 @@ median, together with the Python version, the commit
 and a check of each result, so that a wrong answer cannot pass as a
 fast one.  The cases are the stress cases of ROADMAP.md's baseline,
 two valuation cases, a box of decompositions, the Gorenstein check of
-the acceptance test, two cases of graded counts and the tropical layer
-on a 32-leaf tree:
+the acceptance test, two cases of graded counts, the per-tree tables and
+the tropical layer on a 32-leaf tree:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4, from an empty memo of semigroup
@@ -53,6 +53,15 @@ on a 32-leaf tree:
   copies of the 1500-leaf caterpillar, each from an empty memo, so every
   count builds the copy's shape key and walks it; checked against a
   transfer matrix along the caterpillar's spine;
+- `canonicalize-n32`: `LabeledTree` on the edges of a seeded 32-leaf
+  tree whose internal labels are permuted, each edge turned and the list
+  shuffled, then its `edge_ids`, `planar_leaf_order`, stars and shape
+  code; checked to give the unscrambled tree and its shape code, and the
+  ids, order and stars of a walk from leaf 1 over the edge list;
+- `leaf-paths-n32`: the edge positions on all 496 leaf paths of a fresh
+  32-leaf tree, so the first one also builds the tables they are read
+  from; each checked against the edges whose ids name a side holding
+  one of the two leaves;
 - `dissimilarity-n32`, `four-point-n32`, `four-point-n32-witnesses`,
   `reconstruct-n32`, `from-json-n32` and `from-tsv-n32`: the tropical
   layer on one seeded 32-leaf weighted tree (leaf weights of either
@@ -235,6 +244,27 @@ def _axioms_hold(results) -> bool:
     return len(results) == AXIOMS_OPS
 
 
+def _rooted_walk(n: int, edges) -> tuple[dict, dict, list, dict]:
+    """(adjacency, parent, walk order, leaves below each vertex) of a walk
+    from leaf 1 over an edge list alone.  A vertex the walk does not reach
+    is missing from the order."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    parent, order = {1: 0}, [1]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    below = {v: {v} if v <= n else set() for v in order}
+    # order[1] is the neighbour of leaf 1; its edge is the leaf edge l1
+    for v in reversed(order[2:]):
+        below[parent[v]] |= below[v]
+    return adj, parent, order, below
+
+
 def _enumeration_holds(trees, n: int = 8) -> bool:
     """(2n-5)!! trivalent trees, connected, listed by strictly ascending split keys.
 
@@ -246,24 +276,9 @@ def _enumeration_holds(trees, n: int = 8) -> bool:
     leaves = set(range(1, n + 1))
     keys = []
     for t in trees:
-        adj: dict[int, list[int]] = {}
-        for u, v in t.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        if any(len(nbrs) != (1 if v <= n else 3) for v, nbrs in adj.items()):
+        adj, _, order, below = _rooted_walk(n, t.edges)
+        if any(len(nbrs) != (1 if v <= n else 3) for v, nbrs in adj.items()) or len(order) != len(adj):
             return False
-        parent, order = {1: 0}, [1]
-        for v in order:
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
-        if len(order) != len(adj):
-            return False
-        below = {v: {v} if v <= n else set() for v in order}
-        for v in reversed(order[2:]):
-            below[parent[v]] |= below[v]
-        # order[1] is the neighbour of leaf 1; its edge is the leaf edge l1
         keys.append(sorted(tuple(sorted(leaves - below[v])) for v in order[2:] if v > n))
     return len(keys) == gt.double_factorial(2 * n - 5) and all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -337,6 +352,73 @@ def _tropical_case(run, check, text=None):
         return r, d, d if text is None else text(d)
 
     return setup, lambda arg: (arg[0], arg[1], run(arg[2])), lambda res: check(*res)
+
+
+def _scrambled32():
+    """A seeded 32-leaf tree, and its edges with the internal labels
+    permuted, each edge turned at random and the list shuffled."""
+    rng = random.Random(34)
+    ref = _random_tree(rng, 32)
+    label = {v: v for v in range(1, 33)}
+    label.update(zip(range(33, 63), rng.sample(range(100, 1000), 30)))
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u]) for u, v in ref.edges]
+    rng.shuffle(edges)
+    return ref, tuple(edges)
+
+
+def _canonicalize(arg):
+    ref, edges = arg
+    t = gt.LabeledTree(32, edges)
+    return ref, t, t.edge_ids, t.planar_leaf_order, t._stars, t._shape
+
+
+def _tables_hold(res) -> bool:
+    """The tree is the unscrambled one and has its shape code; its edge ids,
+    planar leaf order and stars are those of a walk from leaf 1 over its
+    edges alone."""
+    ref, t, ids, planar, stars, shape = res
+    n = t.n
+    adj, parent, order, below = _rooted_walk(n, t.edges)
+    leaves = set(range(1, n + 1))
+    internal = sorted((v for v in order[2:] if v > n), key=lambda v: sorted(leaves - below[v]))
+    # each edge is named after its child, the endpoint away from leaf 1
+    name = {v: f"l{v}" for v in range(2, n + 1)}
+    name[order[1]] = "l1"
+    name.update((v, "e" + "-".join(map(str, sorted(below[v])))) for v in internal)
+    expect_ids = tuple([f"l{i}" for i in range(1, n + 1)] + [name[v] for v in internal])
+    expect_planar, stack = [], [1]
+    while stack:
+        v = stack.pop()
+        if v <= n:
+            expect_planar.append(v)
+        kids = [w for w in adj[v] if parent[w] == v]
+        stack += sorted(kids, key=lambda w: min(below[w]), reverse=True)
+    index = {e: k for k, e in enumerate(expect_ids)}
+    expect_stars = tuple(
+        tuple(index[name[w if parent[w] == v else v]] for w in sorted(adj[v])) for v in sorted(order) if v > n
+    )
+    return (
+        t == ref
+        and ids == expect_ids
+        and planar == tuple(expect_planar)
+        and stars == expect_stars
+        and shape == ref._shape
+    )
+
+
+def _all_paths(t):
+    return t, {(i, j): t._path(i, j) for i, j in combinations(range(1, t.n + 1), 2)}
+
+
+def _paths_hold(res) -> bool:
+    """All 496 leaf pairs, each with the edges that separate its two leaves,
+    read off the edge ids: an id names the leaves on one side of its edge."""
+    t, paths = res
+    sides = [{int(e[1:])} if e[0] == "l" else set(map(int, e[1:].split("-"))) for e in t.edge_ids]
+    return len(paths) == 496 and all(
+        sorted(path) == [k for k, side in enumerate(sides) if (i in side) != (j in side)]
+        for (i, j), path in paths.items()
+    )
 
 
 def _box_members():
@@ -453,6 +535,8 @@ CASES = {
         _cold_box_counts,
         lambda counts: counts == [_caterpillar_box_count(1500, 2)] * CATERPILLAR_COPIES,
     ),
+    "canonicalize-n32": (_scrambled32, _canonicalize, _tables_hold),
+    "leaf-paths-n32": (lambda: _random_tree(random.Random(35), 32), _all_paths, _paths_hold),
     "dissimilarity-n32": (
         _weighted_tree32,
         lambda r: (r, gt.dissimilarity(r)),

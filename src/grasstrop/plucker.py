@@ -417,7 +417,8 @@ def format_polynomial(f: PlueckerPolynomial) -> str:
 # read as an exponent times a coefficient.
 _FACTOR = re.compile(
     r"\s*(?P<join>[-+*]?)\s*"
-    r"(?:p\[\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*\](?:\s*\^\s*(?P<exp>[\d./]*))?|(?P<num>\d+(?:/\d+)?|\d*\.\d+))"
+    r"(?:p\[\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*\](?:\s*\^\s*(?P<exp>[\d./]*))?|(?P<num>\d+(?:/\d+)?|\d*\.\d+))",
+    re.ASCII,
 )
 
 

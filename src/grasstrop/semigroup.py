@@ -213,12 +213,12 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
             f"weight is not in the semigroup: vertex {t.internal_vertices[bad]} "
             f"sees values {vals} (odd sum or triangle inequality fails)"
         )
-    _, children, _, bottom_up = t._rooted
-    values, up = s.values, t._parent_edge
+    children, values, up = t._children, s.values, t._parent_edge
     # child vertex of an edge -> the lower ends of the edge's strands
     ends: dict[int, list[int]] = {}
     pairs: list[tuple[int, int]] = []
-    for v in bottom_up:
+    # the preorder backwards lists every vertex after all vertices below it
+    for v in t._pre[:0:-1]:
         if v <= t.n:
             ends[v] = [v] * values[up[v]]
             continue
@@ -228,7 +228,7 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
         keep = (values[up[v]] + len(b) - len(c)) // 2
         pairs += ((i, j) if i < j else (j, i) for i, j in zip(reversed(b[keep:]), c))
         ends[v] = b[:keep] + c[len(b) - keep :]
-    pairs += ((1, j) for j in ends[bottom_up[-1]])
+    pairs += ((1, j) for j in ends[t._pre[1]])
     out = PairMultiset(tuple(pairs))
     if tuple(t._edge_counts(out.counts().items())) != s.values:
         raise RuntimeError("strand decomposition does not sum back to the weight")
@@ -357,15 +357,18 @@ def _gorenstein_witness(t: LabeledTree) -> tuple[int, int, int] | None:
 
 
 def gorenstein_witness_check(t: LabeledTree, samples: int | None = None, *, seed: int | None = None) -> bool:
-    """Check the Gorenstein shift exactly on the levels m = 3..12.
+    """Check the interior-to-box shift exactly on the levels m = 3..12.
 
     The interior at level m (every edge value in 1..m-1, even vertex sums,
     strict triangle inequalities) is the box at level m-3 shifted by 2 on
-    every edge (Buczynska-Wisniewski): for an even sum, |a-b| < c < a+b
-    holds exactly when |a-b| <= c-2 <= a+b-4.  Both sides are counted by
-    the same table walk, memoized by shape, and the result is False at the
-    first level where the interior count differs from
-    graded_count(t, box_bound=m-3).
+    every edge: for an even sum, |a-b| < c < a+b holds exactly when
+    |a-b| <= c-2 <= a+b-4, and no interior value is 1, which would force
+    the other two at its vertex equal and the sum odd.  The check rests on
+    this bijection alone, not on the index-4 Gorenstein theorem of
+    Buczynska-Wisniewski, which is about the polytope with vertex sums
+    capped at 2m.  Both sides are counted by the same table walk, memoized
+    by shape, and the result is False at the first level where the
+    interior count differs from graded_count(t, box_bound=m-3).
     `samples` and `seed` are ignored, left from the earlier sampling check.
     """
     return _gorenstein_witness(t) is None

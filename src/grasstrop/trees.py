@@ -1,15 +1,24 @@
 """Leaf-labeled trees with unlabeled internal vertices.
 
 Leaves carry the labels 1..n and every internal vertex has degree at least
-three.  A tree is stored in a canonical form: internal vertices are
-renumbered n+1, n+2, ... in depth-first order from leaf 1, descending at
-each vertex into the subtree containing the smallest leaf first.  Two
-trees with the same splits therefore compare equal as plain values.
+three.  A tree is stored as its canonical preorder: the walk from leaf 1
+that descends at each vertex into the subtree containing the smallest
+leaf first, with the internal vertices numbered n+1, n+2, ... as the walk
+meets them.  Two trees with the same splits therefore have the same
+preorder and the same sorted `edges`, and compare equal as plain values.
 
-Every per-tree table comes from one walk rooted at leaf 1.  Inside the
-library an edge is addressed either by its position in `edge_ids` or by
-its child vertex, the endpoint away from leaf 1 (for the edge at leaf 1,
-the vertex next to it).  The walk meets the leaves in
+A `LabeledTree` keeps `n`, `edges` and the preorder: `_pre`, the labels in
+walk order, and `_up`, each position's parent position (-1 for leaf 1).
+The validating constructor takes the preorder from its one walk over the
+raw edges, and `enumerate_trivalent` grows it (see `_grow`).  Every other
+table is read off these two arrays, with no second walk: parent and
+ordered children, spans and `planar_leaf_order`, the bottom-up order (the
+preorder reversed), child vertex and parent edge of each edge, stars and
+`_shape`.
+
+Inside the library an edge is addressed either by its position in
+`edge_ids` or by its child vertex, the endpoint away from leaf 1 (for the
+edge at leaf 1, the vertex next to it).  The walk meets the leaves in
 `planar_leaf_order`, and the leaves below any vertex form one contiguous
 slice of that order, so each split is kept as a pair of positions
 (lo, hi) instead of a set of leaves.
@@ -35,7 +44,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count
+from itertools import accumulate, count
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -75,76 +84,70 @@ def _build_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list
             raise ValueError(f"vertex labels must be positive, got {v}")
     if len(seen) != len(adj) - 1:
         raise ValueError("edge count does not match a tree")
-    # connectivity
-    stack = [1]
-    reached = {1}
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != len(adj):
-        raise ValueError("graph is not connected")
     return adj
 
 
-def _root_at_leaf_1(
-    n: int, adj: Mapping[int, Iterable[int]]
-) -> tuple[list[int], dict[int, int], dict[int, list[int]]]:
-    """Root the tree at leaf 1: (preorder, parent, children) over all vertices.
+def _root_at_leaf_1(n: int, adj: Mapping[int, Iterable[int]]) -> tuple[list[int], list[int]]:
+    """The canonical preorder over the given vertex labels: the vertices in
+    the order of the walk from leaf 1, and each one's parent position (-1
+    for leaf 1).
 
-    Children are ordered by the smallest leaf below them and the preorder
-    visits them in that order, so it meets the leaves in planar order.
-    Leaf 1 has parent 0.
+    The walk descends into the children of a vertex in order of the
+    smallest leaf below them, so it meets the leaves in planar order.  It
+    also checks that the graph is connected, which with one edge fewer
+    than vertices makes it a tree.
     """
     parent = {1: 0}
     order = [1]
     for v in order:
         for w in adj[v]:
-            if w != parent[v]:
+            if w not in parent:
                 parent[w] = v
                 order.append(w)
+    if len(order) != len(adj):
+        raise ValueError("graph is not connected")
     minleaf: dict[int, int] = {}
     children: dict[int, list[int]] = {}
     for v in reversed(order):
-        kids = sorted((w for w in adj[v] if w != parent[v]), key=minleaf.__getitem__)
-        children[v] = kids
+        kids = children[v] = sorted((w for w in adj[v] if w != parent[v]), key=minleaf.__getitem__)
         minleaf[v] = v if v <= n else minleaf[kids[0]]
-    preorder: list[int] = []
-    stack = [1]
+    pre: list[int] = []
+    up: list[int] = []
+    stack = [(1, -1)]
     while stack:
-        v = stack.pop()
-        preorder.append(v)
-        stack.extend(reversed(children[v]))
-    return preorder, parent, children
+        v, p = stack.pop()
+        stack.extend((w, len(pre)) for w in reversed(children[v]))
+        pre.append(v)
+        up.append(p)
+    return pre, up
 
 
 def _canonical_form(
     n: int, edges: Iterable[tuple[int, int]]
-) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
-    """Renumber internal vertices canonically; return (sorted edges, old->new map)."""
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """Validate the edges and walk them once: (sorted canonical edges,
+    canonical preorder, parent positions, old->new label map)."""
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
     edges = tuple(edges)
-    preorder, _, _ = _root_at_leaf_1(n, _build_adjacency(n, edges))
+    pre, up = _root_at_leaf_1(n, _build_adjacency(n, edges))
     old2new = {i: i for i in range(1, n + 1)}
-    internal = (v for v in preorder if v > n)
+    internal = (v for v in pre if v > n)
     old2new.update((v, new) for new, v in enumerate(internal, start=n + 1))
     new_edges = sorted(tuple(sorted((old2new[u], old2new[v]))) for u, v in edges)
-    return tuple(new_edges), old2new
+    return tuple(new_edges), tuple(map(old2new.__getitem__, pre)), tuple(up), old2new
 
 
 @dataclass(frozen=True)
 class LabeledTree:
-    """Tree with leaves 1..n, stored canonically (see module docstring)."""
+    """Tree with leaves 1..n, stored as its canonical preorder (see module docstring)."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        canonical, _ = _canonical_form(self.n, self.edges)
-        object.__setattr__(self, "edges", canonical)
+        edges, pre, up, _ = _canonical_form(self.n, self.edges)
+        self.__dict__.update(edges=edges, _pre=pre, _up=up)
 
     @classmethod
     def _relabeled(
@@ -152,28 +155,26 @@ class LabeledTree:
     ) -> tuple[LabeledTree, dict[int, int]]:
         """The tree on these edges, canonicalized once, and the map from the
         given vertex labels to the canonical ones."""
-        canonical, old2new = _canonical_form(n, edges)
-        return cls._from_canonical(n, canonical), old2new
+        edges, pre, up, old2new = _canonical_form(n, edges)
+        return cls._from_canonical(n, edges, pre, up), old2new
 
     @classmethod
-    def _from_canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> LabeledTree:
-        """The tree on edges that are already in canonical form, sorted.
-
-        Skips __post_init__, which would only re-validate and re-sort
-        what the caller has built canonically.
-        """
+    def _from_canonical(
+        cls, n: int, edges: tuple[tuple[int, int], ...], pre: tuple[int, ...], up: tuple[int, ...]
+    ) -> LabeledTree:
+        """The tree with this canonical preorder and its sorted edges, built
+        without the validating walk of __post_init__."""
         t = cls.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "edges", edges)
+        object.__setattr__(t, "_pre", pre)
+        object.__setattr__(t, "_up", up)
         return t
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        parent, children = self._parent, self._children
+        return {v: tuple(sorted(children[v] + [parent[v]] if v != 1 else children[v])) for v in self._pre}
 
     @property
     def leaves(self) -> range:
@@ -181,7 +182,7 @@ class LabeledTree:
 
     @cached_property
     def internal_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.adjacency if v > self.n))
+        return tuple(range(self.n + 1, len(self._pre) + 1))
 
     @cached_property
     def is_trivalent(self) -> bool:
@@ -189,28 +190,42 @@ class LabeledTree:
         # 2n-3 edges, and exactly that many when every degree is 3
         return len(self.edges) == 2 * self.n - 3
 
+    # Per-vertex tables are lists indexed by vertex label; index 0 is unused.
+
     @cached_property
-    def _rooted(
-        self,
-    ) -> tuple[
-        dict[int, int], dict[int, list[int]], dict[int, tuple[int, int]], tuple[int, ...]
-    ]:
-        """The walk from leaf 1: parent and children (smallest leaf below
-        first) of every vertex, and its span (lo, hi), the positions in
-        planar_leaf_order of the leaves below it.  Leaf 1 spans all of them.
-        Last, every vertex but leaf 1, each after all vertices below it: the
-        walk's preorder reversed, which ends at leaf 1's neighbour."""
-        preorder, parent, children = _root_at_leaf_1(self.n, self.adjacency)
-        lo: dict[int, int] = {}
-        seen = 0
-        for v in preorder:
-            lo[v] = seen
-            seen += v <= self.n
-        span: dict[int, tuple[int, int]] = {}
-        for v in reversed(preorder):
-            kids = children[v]
-            span[v] = (lo[v], span[kids[-1]][1] if kids else lo[v] + 1)
-        return parent, children, span, tuple(reversed(preorder[1:]))
+    def _parent(self) -> list[int]:
+        """Per vertex: its parent's label, 0 for leaf 1."""
+        pre = self._pre
+        parent = [0] * (len(pre) + 1)
+        for v, p in zip(pre[1:], self._up[1:]):
+            parent[v] = pre[p]
+        return parent
+
+    @cached_property
+    def _children(self) -> list[list[int]]:
+        """Per vertex: its children, the one with the smallest leaf below first."""
+        pre = self._pre
+        children: list[list[int]] = [[] for _ in range(len(pre) + 1)]
+        for v, p in zip(pre[1:], self._up[1:]):
+            children[pre[p]].append(v)
+        return children
+
+    @cached_property
+    def _span(self) -> list[tuple[int, int]]:
+        """Per vertex: (lo, hi), the positions in planar_leaf_order of the
+        leaves below it.  Leaf 1 spans all of them."""
+        pre, up, n = self._pre, self._up, self.n
+        # lo[p] counts the leaves before position p, hi[p] those up to it
+        lo = list(accumulate((v <= n for v in pre), initial=0))
+        hi = lo[1:]
+        # a subtree ends with the last leaf of its last child
+        for p in range(len(pre) - 1, 0, -1):
+            if hi[up[p]] < hi[p]:
+                hi[up[p]] = hi[p]
+        span = [(0, 0)] * (len(pre) + 1)
+        for v, a, b in zip(pre, lo, hi):
+            span[v] = (a, b)
+        return span
 
     @cached_property
     def _shape(self) -> bytes:
@@ -225,64 +240,44 @@ class LabeledTree:
         vertex type named k+1, and the last one is the root's.  The code
         lists the pairs in that order as unsigned ints; it holds each type
         once and never nests, so a deep tree needs no recursion.
-
-        The children are read off the canonical edges, whose internal
-        labels follow the preorder from leaf 1 (see the module docstring):
-        of an edge (u, v), u < v, between internal vertices u is the
-        parent, a leaf other than 1 hangs below its neighbour, and the
-        labels taken downwards list each vertex after all vertices below
-        it.  So no walk runs and no per-vertex table stays cached.
         """
         if not self.is_trivalent:
             raise ValueError("tree shapes are defined for trivalent trees")
-        n = self.n
-        # internal vertex n+1+i -> its children; leaves stay 0 in `height` and `names`
-        children: list[list[int]] = [[] for _ in range(n - 2)]
-        for u, v in self.edges:
-            if u > n:
-                children[u - n - 1].append(v)
-            elif u > 1:
-                children[v - n - 1].append(u)
-        height = [0] * (2 * n - 1)
+        pre, up, n = self._pre, self._up, self.n
+        # per position: an internal vertex's first child comes next, `second` holds the other
+        second = [0] * len(pre)
+        for p in range(2, len(pre)):
+            if up[p] != p - 1:
+                second[up[p]] = p
+        # leaves stay 0 in `height` and `names`
+        height = [0] * len(pre)
         levels: list[list[int]] = []
-        for v in range(2 * n - 2, n, -1):
-            left, right = children[v - n - 1]
-            h = height[v] = max(height[left], height[right]) + 1
-            if h > len(levels):
-                levels.append([])
-            levels[h - 1].append(v)
-        names = [0] * (2 * n - 1)
+        for q in range(len(pre) - 1, 0, -1):  # each position after all positions below it
+            if pre[q] > n:
+                h = height[q] = max(height[q + 1], height[second[q]]) + 1
+                if h > len(levels):
+                    levels.append([])
+                levels[h - 1].append(q)
+        names = [0] * len(pre)
         code = array("I")
         for level in levels:
             pairs = []
-            for v in level:
-                left, right = children[v - n - 1]
-                a, b = names[left], names[right]
+            for q in level:
+                a, b = names[q + 1], names[second[q]]
                 pairs.append((a, b) if a <= b else (b, a))
             ranked = {pair: len(code) // 2 + k for k, pair in enumerate(sorted(set(pairs)), 1)}
-            for v, pair in zip(level, pairs):
-                names[v] = ranked[pair]
+            for q, pair in zip(level, pairs):
+                names[q] = ranked[pair]
             for pair in ranked:
                 code.extend(pair)
         return code.tobytes()
 
-    def _internal_edges_by_side(self) -> list[tuple[tuple[int, ...], int]]:
-        """(sorted leaves on the side of leaf 1, child vertex) per internal
-        edge, in edge_ids order."""
-        parent, _, span, _ = self._rooted
-        planar = self.planar_leaf_order
-        return sorted(
-            (tuple(sorted(planar[:lo] + planar[hi:])), v)
-            for v, (lo, hi) in span.items()
-            if v > self.n and parent[v] != 1
-        )
-
     @cached_property
     def _edge_child(self) -> tuple[int, ...]:
         """Per edge, in edge_ids order: its child vertex."""
-        _, children, _, _ = self._rooted
-        internal = [v for _, v in self._internal_edges_by_side()]
-        return (children[1][0], *range(2, self.n + 1), *internal)
+        pre = self._pre
+        internal = [pre[p] for _, p in _by_leaf_one_side(self.n, pre, self._up, _LeafTuples())]
+        return (pre[1], *range(2, self.n + 1), *internal)
 
     @cached_property
     def edge_ids(self) -> tuple[EdgeId, ...]:
@@ -290,7 +285,7 @@ class LabeledTree:
 
         Internal edges sort by their side containing leaf 1, lexicographically.
         """
-        _, _, span, _ = self._rooted
+        span = self._span
         planar = self.planar_leaf_order
         internal = [
             "e" + "-".join(map(str, sorted(planar[slice(*span[v])])))
@@ -304,22 +299,12 @@ class LabeledTree:
         return {eid: k for k, eid in enumerate(self.edge_ids)}
 
     @cached_property
-    def _parent_edge(self) -> dict[int, int]:
-        """Per vertex other than leaf 1: the edge_ids index of the edge to its parent."""
-        return {v: k for k, v in enumerate(self._edge_child)}
-
-    def _walk_path(self, i: int, j: int) -> list[int]:
-        """The edge_ids indices on the path between vertices i and j."""
-        parent, _, span, _ = self._rooted
-        up = self._parent_edge
-        out: list[int] = []
-        for a, b in ((i, j), (j, i)):
-            lo, hi = span[b]
-            # climb until a's span holds b's: then a lies above b or is b
-            while not (span[a][0] <= lo and hi <= span[a][1]):
-                out.append(up[a])
-                a = parent[a]
-        return out
+    def _parent_edge(self) -> list[int]:
+        """Per vertex: the edge_ids index of the edge to its parent, -1 for leaf 1."""
+        up = [-1] * (len(self._pre) + 1)
+        for k, v in enumerate(self._edge_child):
+            up[v] = k
+        return up
 
     @cached_property
     def _leaf_paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -336,7 +321,15 @@ class LabeledTree:
         if path is None:
             if not 1 <= i < j <= self.n:
                 raise ValueError(f"need leaves 1 <= i < j <= {self.n}, got ({i}, {j})")
-            path = self._leaf_paths[(i, j)] = tuple(self._walk_path(i, j))
+            parent, span, up = self._parent, self._span, self._parent_edge
+            out: list[int] = []
+            for a, b in ((i, j), (j, i)):
+                lo, hi = span[b]
+                # climb until a's span holds b's: then a lies above b or is b
+                while not (span[a][0] <= lo and hi <= span[a][1]):
+                    out.append(up[a])
+                    a = parent[a]
+            path = self._leaf_paths[(i, j)] = tuple(out)
         return path
 
     def _edge_counts(self, pairs: Iterable[tuple[tuple[int, int], int]]) -> list[int]:
@@ -351,27 +344,23 @@ class LabeledTree:
     @cached_property
     def _stars(self) -> tuple[tuple[int, ...], ...]:
         """Per internal vertex, in internal_vertices order: the edge_ids indices
-        of its incident edges, in adjacency order."""
-        parent, children, _, _ = self._rooted
-        up = self._parent_edge
-        stars = []
-        for v in self.internal_vertices:
-            edge_to = {parent[v]: up[v]}
-            edge_to.update((w, up[w]) for w in children[v])
-            stars.append(tuple(edge_to[w] for w in self.adjacency[v]))
-        return tuple(stars)
+        of its incident edges, in order of the neighbour's label."""
+        parent, children, up = self._parent, self._children, self._parent_edge
+        return tuple(
+            tuple(up[v] if w == parent[v] else up[w] for w in sorted([parent[v], *children[v]]))
+            for v in self.internal_vertices
+        )
 
     @cached_property
     def internal_edge_ids(self) -> tuple[EdgeId, ...]:
         return self.edge_ids[self.n :]
 
     def edge_id_of(self, u: int, v: int) -> EdgeId:
-        parent, _, _, _ = self._rooted
-        child, other = (u, v) if parent.get(u) == v else (v, u)
-        k = self._parent_edge.get(child)
-        if k is None or parent[child] != other:
-            raise ValueError(f"({u}, {v}) is not an edge of this tree")
-        return self.edge_ids[k]
+        parent = self._parent
+        for child, other in ((u, v), (v, u)):
+            if 1 < child < len(parent) and parent[child] == other:
+                return self.edge_ids[self._parent_edge[child]]
+        raise ValueError(f"({u}, {v}) is not an edge of this tree")
 
     def _position(self, eid: EdgeId) -> int:
         """The index of an edge id in edge_ids; leaf edges are those below n."""
@@ -405,24 +394,21 @@ class LabeledTree:
             raise ValueError("leaf path needs two distinct leaves")
         return (i, j) if i < j else (j, i)
 
-    def _child(self, eid: EdgeId) -> int:
-        return self._edge_child[self._position(eid)]
-
     def endpoints(self, eid: EdgeId) -> tuple[int, int]:
-        v = self._child(eid)
-        u = self._rooted[0][v]
+        v = self._edge_child[self._position(eid)]
+        u = self._parent[v]
         return (u, v) if u < v else (v, u)
 
     def split(self, eid: EdgeId) -> tuple[frozenset[int], frozenset[int]]:
         """Leaf bipartition induced by removing the edge; side with leaf 1 first."""
-        lo, hi = self._rooted[2][self._child(eid)]
+        lo, hi = self._span[self._edge_child[self._position(eid)]]
         planar = self.planar_leaf_order
         return frozenset(planar[:lo] + planar[hi:]), frozenset(planar[lo:hi])
 
     @cached_property
     def internal_splits(self) -> frozenset[frozenset[int]]:
         """Sides-away-from-leaf-1 of the internal edges; determines the tree."""
-        _, _, span, _ = self._rooted
+        span = self._span
         planar = self.planar_leaf_order
         return frozenset(
             frozenset(planar[slice(*span[v])]) for v in self._edge_child[self.n :]
@@ -436,11 +422,7 @@ class LabeledTree:
         leaf paths that cross do so in any embedding, so it is the natural
         frame for crossing-free rewriting on this tree.
         """
-        _, _, span, _ = self._rooted
-        order = [0] * self.n
-        for i in self.leaves:
-            order[span[i][0]] = i
-        return tuple(order)
+        return tuple(v for v in self._pre if v <= self.n)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -448,9 +430,8 @@ class LabeledTree:
 
 def leaf_path(t: LabeledTree, i: int, j: int) -> frozenset[EdgeId]:
     """Ids of the edges on the unique path between leaves i and j."""
-    t._leaf_pair(i, j)
     ids = t.edge_ids
-    return frozenset(ids[k] for k in t._walk_path(i, j))
+    return frozenset(ids[k] for k in t._path(*t._leaf_pair(i, j)))
 
 
 def tree_equal(a: LabeledTree, b: LabeledTree) -> bool:
@@ -460,20 +441,58 @@ def tree_equal(a: LabeledTree, b: LabeledTree) -> bool:
     return a.internal_splits == b.internal_splits
 
 
-class _LeafOneSides(dict):
-    """Bitmask of the leaves below a vertex -> sorted tuple of the other leaves.
+class _LeafTuples(dict):
+    """Bitmask with bit x set for each leaf x -> sorted tuple of those leaves.
 
     Filled as masks are first asked for, so it holds no more entries than
-    the splits met.
+    the sets met.
     """
 
-    def __init__(self, n: int) -> None:
-        super().__init__()
-        self.n = n
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = bin(mask)[:1:-1]  # bit 0 first
+        leaves = self[mask] = tuple([x for x, bit in enumerate(bits) if bit == "1"])
+        return leaves
 
-    def __missing__(self, below: int) -> tuple[int, ...]:
-        side = self[below] = tuple(x for x in range(1, self.n + 1) if not below >> x & 1)
-        return side
+
+def _by_leaf_one_side(
+    n: int, pre: tuple[int, ...], up: tuple[int, ...], sides: _LeafTuples
+) -> list[tuple[tuple[int, ...], int]]:
+    """(leaf-1 side, position) of each internal edge of a canonical preorder,
+    sorted by side: the order in which edge_ids lists the internal edges.
+
+    An internal edge runs above the internal vertex at a position past 1
+    (the edge at leaf 1 runs to position 1), and its side is the sorted
+    tuple of the leaves off the subtree below, read from `sides`.
+    """
+    below = [1 << x if x <= n else 0 for x in pre]
+    for p in range(len(pre) - 1, 1, -1):
+        below[up[p]] |= below[p]
+    leaves = (1 << n + 1) - 2  # bits 1..n
+    return sorted([(sides[leaves ^ below[p]], p) for p in range(2, len(pre)) if pre[p] > n])
+
+
+@lru_cache(maxsize=1024)
+def _insertions(up: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(i, one past the end of i's subtree, the grown tree's up) per edge above
+    a position i of a tree with these parent positions (see _grow).  They
+    depend on up alone, so the trees of one plane shape share them."""
+    size = len(up)
+    end = list(range(1, size + 1))  # one past the last position of each subtree
+    for x in range(size - 1, 1, -1):
+        if end[up[x]] < end[x]:
+            end[up[x]] = end[x]
+    return tuple(
+        (
+            i,
+            end[i],
+            up[: i + 1]  # w takes v's parent
+            + (i,)
+            + tuple([p + 1 for p in up[i + 1 : end[i]]])
+            + (i,)
+            + tuple([p if p < i else p + 2 for p in up[end[i] :]]),
+        )
+        for i in range(1, size)
+    )
 
 
 def _grow(
@@ -492,21 +511,8 @@ def _grow(
     subtree: positions from i on move by one, and those after the
     subtree by two.
     """
-    size = len(pre)
-    end = list(range(1, size + 1))  # one past the last position of each subtree
-    for x in range(size - 1, 1, -1):
-        if end[up[x]] < end[x]:
-            end[up[x]] = end[x]
-    for i in range(1, size):
-        e = end[i]
-        yield (
-            pre[:i] + (0,) + pre[i:e] + (k,) + pre[e:],
-            up[: i + 1]  # w takes v's parent
-            + (i,)
-            + tuple([p + 1 for p in up[i + 1 : e]])
-            + (i,)
-            + tuple([p if p < i else p + 2 for p in up[e:]]),
-        )
+    for i, e, child_up in _insertions(up):
+        yield pre[:i] + (0,) + pre[i:e] + (k,) + pre[e:], child_up
 
 
 def _preorders(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -530,28 +536,23 @@ def enumerate_trivalent(n: int) -> list[LabeledTree]:
     parent's with the new vertex just before v and the new leaf just
     after v's subtree (see _grow).
 
-    The trees are sorted by the leaf-1 sides of their internal splits:
-    each side is the sorted tuple of leaves off the subtree below an
-    internal edge, and a tree's key lists its sides in ascending order,
-    the order in which edge_ids lists its internal edges.
+    The trees are sorted by the leaf-1 sides of their internal edges,
+    listed in edge_ids order (see _by_leaf_one_side).
     """
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
-    sides = _LeafOneSides(n)
+    sides = _LeafTuples()
     # one shared tuple per edge (min, max) of labels
     pair = [[(a, b) if a < b else (b, a) for b in range(2 * n - 1)] for a in range(2 * n - 1)]
     keyed = []
     for pre, up in _preorders(n):
         label = count(n + 1).__next__
-        lab = [x or label() for x in pre]
-        below = [1 << x if x else 0 for x in pre]
-        for x in range(len(pre) - 1, 1, -1):
-            below[up[x]] |= below[x]
-        # the edge at leaf 1 runs to position 1; internal edges hang below positions 2..
-        key = sorted([sides[m] for x, m in zip(pre[2:], below[2:]) if not x])
-        keyed.append((key, tuple(sorted([pair[lab[p]][v] for p, v in zip(up[1:], lab[1:])]))))
+        lab = tuple([x or label() for x in pre])
+        edges = tuple(sorted([pair[lab[p]][v] for p, v in zip(up[1:], lab[1:])]))
+        key = [side for side, _ in _by_leaf_one_side(n, lab, up, sides)]
+        keyed.append((key, LabeledTree._from_canonical(n, edges, lab, up)))
     keyed.sort(key=itemgetter(0))
-    return [LabeledTree._from_canonical(n, edges) for _, edges in keyed]
+    return [t for _, t in keyed]
 
 
 def contract_edge(t: LabeledTree, eid: EdgeId) -> LabeledTree:
@@ -575,6 +576,14 @@ def contract_edge(t: LabeledTree, eid: EdgeId) -> LabeledTree:
 
 def tree_to_json_dict(t: LabeledTree) -> dict:
     return {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
+
+
+def _leaf_index(text: str) -> int:
+    """A leaf label spelled in ASCII digits only; `int` would also take signs,
+    spaces, digit underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"leaf labels must be integers, got {text!r}")
+    return int(text)
 
 
 def _json_integer(value: object, what: str) -> int:
@@ -625,37 +634,31 @@ def tree_from_json(text: str) -> LabeledTree:
 
 
 def tree_to_newick(t: LabeledTree, weights: Mapping[EdgeId, Fraction] | None = None) -> str:
-    """Newick string rooted at the internal vertex next to leaf 1."""
-    _, children, _, _ = t._rooted
-    up = t._parent_edge
-    root = children[1][0]
-    out: list[str] = []
-    # items are text to emit or a vertex whose subtree is still to render
-    todo: list[str | int] = []
+    """Newick string rooted at the internal vertex next to leaf 1.
 
-    def push_children(kids: list[int], close: str) -> None:
-        todo.append(close)
-        for pos, w in enumerate(reversed(kids)):
-            if pos:
-                todo.append(",")
-            todo.append(w)
-        todo.append("(")
+    Read off the preorder: each later position closes the groups that
+    end before it, then names a leaf or opens a group of its own.
+    """
+    pre, up, edge = t._pre, t._up, t._parent_edge
 
-    push_children([1, *children[root]], ");")
-    while todo:
-        v = todo.pop()
-        if isinstance(v, str):
-            out.append(v)
-            continue
-        length = ""
-        if weights is not None:
-            # leaf 1 hangs off the root by the edge that the root is the child of
-            length = ":" + str(weights[t.edge_ids[up[root if v == 1 else v]]])
-        if v <= t.n:
-            out.append(str(v) + length)
+    def length(p: int) -> str:
+        return "" if weights is None else ":" + str(weights[t.edge_ids[edge[pre[p]]]])
+
+    # leaf 1 hangs off the root, at position 1, by the edge the root is the child of
+    out = ["(1" + length(1)]
+    groups = [1]  # positions whose ")" is still to come
+    for p in range(2, len(pre)):
+        while groups[-1] != up[p]:
+            out.append(")" + length(groups.pop()))
+        if out[-1] != "(":
+            out.append(",")
+        if pre[p] <= t.n:
+            out.append(str(pre[p]) + length(p))
         else:
-            push_children(children[v], ")" + length)
-    return "".join(out)
+            out.append("(")
+            groups.append(p)
+    out += [")" + length(p) for p in reversed(groups[1:])]
+    return "".join(out) + ");"
 
 
 _NEWICK_TOKEN = re.compile(r"\(|\)|,|;|:[^,():;]+|[^,():;]+")
@@ -685,9 +688,7 @@ def tree_from_newick(text: str) -> tuple[LabeledTree, dict[EdgeId, Fraction] | N
             open_nodes.append(next_internal)
             next_internal += 1
             continue
-        if not tok.isdigit():
-            raise ValueError(f"leaf labels must be integers, got {tok!r}")
-        node = int(tok)
+        node = _leaf_index(tok)
         if node in leaves_seen:
             raise ValueError(f"leaf {node} appears twice")
         leaves_seen.add(node)

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .trees import EdgeId, LabeledTree, _json_integer, _json_object, tree_from_json_dict, tree_to_json_dict
+from .trees import EdgeId, LabeledTree, _json_integer, _json_object, _leaf_index
+from .trees import tree_from_json_dict, tree_to_json_dict
 
 Rational = Fraction
 
@@ -64,14 +65,6 @@ def _pair_values(n: int, entries: Iterable[tuple[str, int, int, object]]) -> lis
         tail = f" and {more} more" if more else ""
         raise ValueError(f"missing pairs: {missing}{tail}")
     return [given[p] for p in leaf_pairs(n)]
-
-
-def _leaf_index(text: str) -> int:
-    """A leaf index spelled in ASCII digits only; `int` would also take signs,
-    spaces, digit underscores and non-ASCII digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"bad leaf index {text!r}")
-    return int(text)
 
 
 def _integer_scaled(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
@@ -414,9 +407,9 @@ def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
     """Path-sum dissimilarity vector of an edge weighting."""
     t = r.tree
     den, w = r._integer_weights
-    parent, _, _, _ = t._rooted
-    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in parent}
-    for v, k in t._parent_edge.items():
+    parent = t._parent
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in parent]
+    for k, v in enumerate(t._edge_child):
         nbrs[v].append((parent[v], w[k]))
         nbrs[parent[v]].append((v, w[k]))
     n = t.n

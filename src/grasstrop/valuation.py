@@ -149,7 +149,7 @@ def _signed_fibers(t: LabeledTree, f: PlueckerPolynomial) -> dict[tuple[int, ...
     of one monomial keeps that monomial's coefficient, so only fibers
     that meet add.
     """
-    n, span, path, size = t.n, t._rooted[2], t._path, len(t.edge_ids)
+    n, span, path, size = t.n, t._span, t._path, len(t.edge_ids)
     fibers: dict[tuple[int, ...], Fraction] = {}
     for m, c in f.terms:
         counts = [0] * size

@@ -6,16 +6,19 @@ content formula for graded dimensions, degree-constrained multigraph
 enumeration for semigroup membership, minor evaluation for polynomial
 identities, plain exhaustive enumeration for graded and interior counts,
 a breadth-first search on the edge list for the leaves on each side of
-an edge, leaf insertion on plain edge lists, canonicalized by the
-validating constructor, for the enumeration of trivalent trees, chords
-on a circle for crossing-free multisets of leaf pairs, nested
-sorted strings for the shape of a tree rooted at leaf 1, and Fraction
-sums over every leaf quadruple for the four-point condition.
+an edge, one breadth-first search from leaf 1 on the edge list for
+every rooted table of a tree, leaf insertion on plain edge lists,
+canonicalized by the validating constructor, for the enumeration of
+trivalent trees, chords on a circle for crossing-free multisets of leaf
+pairs, nested sorted strings for the shape of a tree rooted at leaf 1,
+and Fraction sums over every leaf quadruple for the four-point
+condition.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -62,6 +65,79 @@ def side_away_from_leaf_1(t: LabeledTree, u: int, v: int) -> frozenset[int]:
                 reached.add(y)
                 queue.append(y)
     return frozenset(i for i in range(1, t.n + 1) if i not in reached)
+
+
+@dataclass
+class RootedTables:
+    """The tables of a tree rooted at leaf 1, keyed by vertex label."""
+
+    pre: list[int]  # vertices in depth-first order, smallest leaf below first
+    up: list[int]  # per position of pre, its parent's position; -1 for leaf 1
+    parent: dict[int, int]  # 0 for leaf 1
+    children: dict[int, list[int]]  # smallest leaf below first
+    below: dict[int, frozenset[int]]  # leaves below; for leaf 1, all of them
+    span: dict[int, tuple[int, int]]  # first and one-past-last position of below in planar
+    planar: list[int]
+    name: dict[int, str]  # per vertex but leaf 1: the id of the edge to its parent
+    edge_ids: list[str]
+    stars: list[tuple[int, ...]]  # per internal vertex by label: edge_ids positions by neighbour label
+
+
+def rooted_tables(t: LabeledTree) -> RootedTables:
+    """Every rooted table of t from one breadth-first search from leaf 1 over t.edges.
+
+    The search gives each vertex's parent, and the leaves below each vertex
+    are gathered from the far end of the search order back.  The rest
+    follows from the definitions: children by smallest leaf below, the
+    depth-first order through them, the leaves in that order, each span
+    from the positions of the leaves below, edge ids from the leaves below
+    each child sorted by the leaves on the other side, and the stars.
+    """
+    n = t.n
+    nbrs: dict[int, list[int]] = {}
+    for a, b in t.edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    parent = {1: 0}
+    order = [1]
+    queue = deque([1])
+    while queue:
+        x = queue.popleft()
+        for y in nbrs[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+                queue.append(y)
+    leaves = frozenset(range(1, n + 1))
+    below: dict[int, frozenset[int]] = {1: leaves}
+    for v in reversed(order[1:]):
+        below[v] = frozenset([v]) if v <= n else frozenset().union(
+            *(below[w] for w in nbrs[v] if w != parent[v])
+        )
+    children = {
+        v: sorted((w for w in nbrs[v] if w != parent[v]), key=lambda w: min(below[w])) for v in order
+    }
+    pre: list[int] = []
+    up: list[int] = []
+    stack = [(1, -1)]
+    while stack:
+        v, p = stack.pop()
+        up.append(p)
+        pre.append(v)
+        stack += [(w, len(pre) - 1) for w in reversed(children[v])]
+    planar = [v for v in pre if v <= n]
+    place = {leaf: k for k, leaf in enumerate(planar)}
+    span = {v: (min(place[i] for i in below[v]), max(place[i] for i in below[v]) + 1) for v in order}
+    name = {v: f"l{v}" if v <= n else "e" + "-".join(map(str, sorted(below[v]))) for v in order[1:]}
+    name[order[1]] = "l1"
+    internal = sorted((v for v in order[2:] if v > n), key=lambda v: sorted(leaves - below[v]))
+    edge_ids = [f"l{i}" for i in range(1, n + 1)] + [name[v] for v in internal]
+    stars = [
+        tuple(edge_ids.index(name[w] if parent[w] == v else name[v]) for w in sorted(nbrs[v]))
+        for v in sorted(order)
+        if v > n
+    ]
+    return RootedTables(pre, up, parent, children, below, span, planar, name, edge_ids, stars)
 
 
 def is_crossing_free(order: Sequence[int], pairs: Iterable[tuple[int, int]]) -> bool:

@@ -128,6 +128,8 @@ def test_parse_errors():
     bads = (
         "p[1,1]", "p[2,1]", "p[1,2]*", "*p[1,2]", "p[1", "q[1,2]", "", "p[1,2]^1/2",
         "1/0*p[1,2]", "p[1,2]^1.5",
+        # digits are ASCII only, as in every other reader
+        "\u0663 p[\u0661,\u0662]^\u0662", "p[1,2]^\u0662", "\u0663*p[1,2]",
     )
     for bad in bads:
         with pytest.raises(ValueError):

@@ -10,13 +10,17 @@ from pathlib import Path
 
 import pytest
 
+import grasstrop.trees as trees_mod
 from grasstrop import (
+    EdgeWeighting,
     LabeledTree,
     contract_edge,
+    dissimilarity,
     double_factorial,
     enumerate_trivalent,
     leaf_path,
     parse_edge_order,
+    reconstruct_tree,
     tree_equal,
     tree_from_json,
     tree_from_newick,
@@ -24,8 +28,8 @@ from grasstrop import (
     tree_to_newick,
 )
 from grasstrop.trees import tree_to_json_dict
-from oracles import grown_trivalent_trees, side_away_from_leaf_1
-from util import caterpillar, grown_tree
+from oracles import grown_trivalent_trees, rooted_shape_form, rooted_tables, side_away_from_leaf_1
+from util import caterpillar, grown_tree, random_weighting
 
 
 def sigma(k):
@@ -75,7 +79,8 @@ def test_enumeration_matches_grown_oracle():
             assert t.edge_ids == ref.edge_ids
             assert t.planar_leaf_order == ref.planar_leaf_order
             assert t.internal_splits == ref.internal_splits
-            assert t._rooted == ref._rooted
+            # the grown preorder is the one the validating walk finds
+            assert (t._pre, t._up) == (ref._pre, ref._up)
 
 
 def test_enumeration_survives_optimized_mode():
@@ -137,6 +142,10 @@ def test_invalid_trees_rejected():
         LabeledTree(2, [(1, 2)])
     with pytest.raises(ValueError):
         LabeledTree(4, [(0, 5), (2, 5), (3, 5), (4, 5)])
+    # degrees and edge count fit a tree, but leaves 4..6 hang off a triangle
+    triangle = [(11, 12), (12, 13), (13, 11), (4, 11), (5, 12), (6, 13)]
+    with pytest.raises(ValueError, match="graph is not connected"):
+        LabeledTree(6, [(1, 10), (2, 10), (3, 10), *triangle])
 
 
 def test_edge_ids_and_splits():
@@ -182,33 +191,131 @@ def test_leaf_path_symmetric_difference():
             assert leaf_path(t, i, j) ^ leaf_path(t, j, k) == leaf_path(t, i, k)
 
 
-def _oracle_tables(t):
-    """Per-edge names and sides, edge_ids, planar order and stars, from BFS splits alone."""
-    away = {(u, v): side_away_from_leaf_1(t, u, v) for u, v in t.edges}  # u < v
-    leaves = frozenset(t.leaves)
-    name = {
-        (u, v): f"l{u}" if u <= t.n else "e" + "-".join(map(str, sorted(side)))
-        for (u, v), side in away.items()
-    }
-    internal = sorted((e for e in away if e[0] > t.n), key=lambda e: sorted(leaves - away[e]))
-    ids = tuple([f"l{i}" for i in t.leaves] + [name[e] for e in internal])
+def scrambled(rng, t):
+    """LabeledTree on t's edges with the internal labels permuted, each edge
+    turned at random and the list shuffled."""
+    label = {i: i for i in t.leaves}
+    internal = t.internal_vertices
+    label.update(zip(internal, rng.sample(range(t.n + 1, 10 * (t.n + len(internal))), len(internal))))
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u]) for u, v in t.edges]
+    rng.shuffle(edges)
+    return LabeledTree(t.n, edges)
 
-    def side(x, y):
-        return away[(x, y) if x < y else (y, x)]
 
-    planar = []
-    stack = [(1, 0)]
-    while stack:
-        x, p = stack.pop()
-        if x <= t.n:
-            planar.append(x)
-        kids = sorted((y for y in t.adjacency[x] if y != p), key=lambda y: min(side(x, y)))
-        stack.extend((y, x) for y in reversed(kids))
-    stars = tuple(
-        tuple(ids.index(name[(v, u) if v < u else (u, v)]) for u in t.adjacency[v])
-        for v in t.internal_vertices
+def rooted_table_corpus():
+    """Seeded trees built every way the library builds one: the validating
+    constructor on scrambled labels, enumerate_trivalent, reconstruct_tree,
+    contract_edge (trees that are not trivalent) and tree_from_newick."""
+    rng = random.Random(83)
+    trees = [LabeledTree(5, [(i, 6) for i in range(1, 6)])]
+    trees += [t for n in (3, 4, 5, 6) for t in enumerate_trivalent(n)]
+    for n in range(3, 16):
+        t = grown_tree(rng, n)
+        trees.append(scrambled(rng, t))
+        trees.append(reconstruct_tree(dissimilarity(random_weighting(rng, t)))[0])
+        trees.append(tree_from_newick(tree_to_newick(t))[0])
+        for _ in range(rng.randint(1, max(1, n - 3))):
+            if t.internal_edge_ids:
+                t = contract_edge(t, rng.choice(t.internal_edge_ids))
+                trees.append(t)
+                trees.append(tree_from_newick(tree_to_newick(t))[0])
+    return trees
+
+
+def rooted_table_mismatches():
+    """(edges, table) for each table of a corpus tree that differs from the
+    rooted-table oracle; "shape" if shape codes and the oracle's rooted
+    shape forms do not correspond one to one."""
+    bad = []
+    forms = {}
+    for t in rooted_table_corpus():
+        o = rooted_tables(t)
+        got = {
+            "preorder": (list(t._pre), list(t._up)),
+            "parent": {v: t._parent[v] for v in o.pre},
+            "children": {v: t._children[v] for v in o.pre},
+            "span": {v: t._span[v] for v in o.pre},
+            "planar": list(t.planar_leaf_order),
+            "edge_ids": list(t.edge_ids),
+            "stars": list(t._stars),
+            # internal vertices are numbered n+1, n+2, ... in preorder
+            "internal": list(t.internal_vertices),
+        }
+        want = {
+            "preorder": (o.pre, o.up),
+            "parent": o.parent,
+            "children": o.children,
+            "span": o.span,
+            "planar": o.planar,
+            "edge_ids": o.edge_ids,
+            "stars": o.stars,
+            "internal": [v for v in o.pre if v > t.n],
+        }
+        bad += [(t.edges, table) for table in want if got[table] != want[table]]
+        if t.is_trivalent:
+            forms.setdefault(t._shape, set()).add(rooted_shape_form(t))
+    if any(len(f) != 1 for f in forms.values()) or len(set().union(*forms.values())) != len(forms):
+        bad.append("shape")
+    return bad
+
+
+def test_rooted_tables_match_bfs_oracle():
+    assert rooted_table_mismatches() == []
+
+
+def test_rooted_tables_survive_optimized_mode():
+    # python -O strips assert statements; the tables must not depend on them
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    code = "import test_trees\nprint(test_trees.rooted_table_mismatches())\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
-    return name, away, ids, tuple(planar), stars
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout == "[]\n"
+
+
+def read_every_table(t):
+    """Everything a tree answers, so that every table it keeps is built."""
+    t.edge_ids, t.planar_leaf_order, t._stars, t.internal_splits, t.adjacency
+    t._edge_counts([(pair, 1) for pair in itertools.combinations(t.leaves, 2)])
+    for eid in t.edge_ids:
+        t.split(eid), t.endpoints(eid), t.edge_id_of(*t.endpoints(eid))
+    tree_to_newick(t, {eid: Fraction(1) for eid in t.edge_ids}), tree_to_json(t)
+    if t.is_trivalent:
+        t._shape
+    dissimilarity(EdgeWeighting.of(t, {eid: Fraction(1) for eid in t.edge_ids}))
+
+
+def test_one_rooted_walk_per_tree_built_from_edges(monkeypatch):
+    walks = []
+    original = trees_mod._root_at_leaf_1
+
+    def counted(n, adj):
+        walks.append(n)
+        return original(n, adj)
+
+    monkeypatch.setattr(trees_mod, "_root_at_leaf_1", counted)
+    rng = random.Random(89)
+    base = grown_tree(rng, 9)
+    text = tree_to_newick(base, {eid: Fraction(k + 1) for k, eid in enumerate(base.edge_ids)})
+    d = dissimilarity(random_weighting(rng, base))
+    read_every_table(base)
+    builders = {
+        "LabeledTree": lambda: [scrambled(rng, base)],
+        "_relabeled": lambda: [LabeledTree._relabeled(9, base.edges)[0]],
+        "contract_edge": lambda: [contract_edge(base, base.internal_edge_ids[2])],
+        "tree_from_newick": lambda: [tree_from_newick(text)[0]],
+        "reconstruct_tree": lambda: [reconstruct_tree(d)[0]],
+        "enumerate_trivalent": lambda: enumerate_trivalent(6),
+    }
+    counts = {}
+    for how, build in builders.items():
+        walks.clear()
+        for t in build():
+            read_every_table(t)
+        counts[how] = len(walks)
+    assert counts == {**dict.fromkeys(builders, 1), "enumerate_trivalent": 0}
 
 
 def test_index_tables_match_edge_ids():
@@ -223,24 +330,23 @@ def test_index_tables_match_edge_ids():
                 t = contract_edge(t, rng.choice(t.internal_edge_ids))
                 trees.append(t)
     for t in trees:
-        name, away, ids, planar, stars = _oracle_tables(t)
-        assert t.edge_ids == ids
-        assert t.planar_leaf_order == planar
-        assert t._stars == stars
-        assert t.internal_splits == frozenset(s for (u, _), s in away.items() if u > t.n)
+        o = rooted_tables(t)
+        assert t.internal_splits == frozenset(o.below[v] for v in o.pre[2:] if v > t.n)
         leaves = frozenset(t.leaves)
-        for (u, v), side in away.items():
-            eid = name[(u, v)]
+        for u, v in t.edges:
+            child = v if o.parent[v] == u else u
+            eid, side = o.name[child], o.below[child]
+            assert side == side_away_from_leaf_1(t, u, v)
             assert t.edge_id_of(u, v) == t.edge_id_of(v, u) == eid
             assert t.endpoints(eid) == (u, v)
             assert t.split(eid) == (leaves - side, side)
         for i, j in itertools.combinations(t.leaves, 2):
-            cut = {name[e] for e, side in away.items() if (i in side) != (j in side)}
+            cut = {o.name[c] for c in o.pre[1:] if (i in o.below[c]) != (j in o.below[c])}
             assert leaf_path(t, i, j) == cut
         with pytest.raises(ValueError):
             t.edge_id_of(1, 2)
         pairs = [((1, 2), 2), ((2, t.n), 1), ((1, t.n), 3)]
-        expect = [0] * len(ids)
+        expect = [0] * len(t.edge_ids)
         for (i, j), mult in pairs:
             for eid in leaf_path(t, i, j):
                 expect[t._edge_index[eid]] += mult
@@ -330,6 +436,10 @@ def test_newick_text_n4():
 def test_newick_rejects_malformed():
     for bad in ("(1,2", "(1,2,(3,4))", "1;", "(1,2,(3,4):1);"):
         with pytest.raises(ValueError):
+            tree_from_newick(bad)
+    # leaf labels are ASCII digits only, as in every other reader
+    for bad in ("(\u0661,2,(3,4));", "(1,+2,(3,4));", "(1,2,(3,4_0));"):
+        with pytest.raises(ValueError, match="leaf labels must be integers"):
             tree_from_newick(bad)
 
 
