@@ -77,7 +77,30 @@ the tropical layer on a 32-leaf tree:
 - `four-point-n32-reject`: `is_tropical_point` on d with one pair of a
   maximal pairing of a seeded quadruple raised by 1/2, checked to
   reject it with the witness of the first quadruple whose maximum is
-  attained once, found the same way.
+  attained once, found the same way;
+- `trop-check-n32`: `cli.main` on `trop check` of that d, read from a
+  TSV file and written to another in a temporary directory, so the
+  35960 quadruple lines are built and written as the command does; each
+  line is checked against the three pairing sums of its quadruple, added
+  as Fractions from `d.as_dict()`, and the positions of their maximum.
+
+The `cli-*` cases time one request each from the start of a fresh
+interpreter, `python -m grasstrop.cli` run with PYTHONDONTWRITEBYTECODE=1,
+so interpreter start and the imports of the modules the command loads
+count with the command itself:
+
+- `cli-trees-enumerate-n4`: `trees enumerate --n 4`;
+- `cli-trop-check-n6`: `trop check` of the dissimilarity vector of a
+  6-leaf weighted tree made as the 32-leaf one, read from stdin;
+- `cli-val-matrix-n4`: `val matrix` of the first 4-leaf tree, read from
+  stdin;
+- `cli-paper-example`: `paper-example`, which loads every module.
+
+Each is checked to exit 0 with no stderr and the stdout of README.md's
+example (the `trop check` lines are checked as above, the report against
+the golden text).  A child that does not write bytecode still reads it:
+an existing `src/grasstrop/__pycache__` makes the imports faster, so the
+file records whether one was present (`bytecode_cache`).
 
 Only the standard library is used.
 """
@@ -93,6 +116,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -103,6 +127,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import grasstrop as gt  # noqa: E402
+from grasstrop import cli, report  # noqa: E402
 
 
 def _caterpillar(n: int) -> gt.LabeledTree:
@@ -283,9 +308,11 @@ def _enumeration_holds(trees, n: int = 8) -> bool:
     return len(keys) == gt.double_factorial(2 * n - 5) and all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def _weighted_tree32() -> gt.EdgeWeighting:
-    rng = random.Random(32)
-    t = _random_tree(rng, 32)
+def _weighted_tree(n: int) -> gt.EdgeWeighting:
+    """A tree on n leaves and weights (leaf weights of either sign, internal
+    weights positive), all from random.Random(n)."""
+    rng = random.Random(n)
+    t = _random_tree(rng, n)
     return gt.EdgeWeighting.of(t, {
         e: Fraction(rng.randint(-4, 6) if e.startswith("l") else rng.randint(1, 6), rng.randint(1, 3))
         for e in t.edge_ids
@@ -324,9 +351,9 @@ def _read_all_witnesses(d):
 
 
 def _perturbed32() -> gt.DissimilarityVector:
-    """d of _weighted_tree32() with one pair of a maximal pairing of a seeded
+    """d of _weighted_tree(32) with one pair of a maximal pairing of a seeded
     quadruple raised by 1/2, as a new vector."""
-    vals = gt.dissimilarity(_weighted_tree32()).as_dict()
+    vals = gt.dissimilarity(_weighted_tree(32)).as_dict()
     i, j, k, l = quad = tuple(sorted(random.Random(4).sample(range(1, 33), 4)))
     top = _witness_of(vals, quad)[2][0]
     vals[(((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))[top][0]] += Fraction(1, 2)
@@ -342,12 +369,45 @@ def _first_violation_named(d, res) -> bool:
     return ok is False and [(w.quad, w.sums, w.attained) for w in witnesses] == [first]
 
 
+def _check_text(d) -> str:
+    """The stdout of `trop check` on an accepted d, its sums added as Fractions."""
+    vals = d.as_dict()
+    lines = ["tropical: yes"]
+    for quad in combinations(range(1, d.n + 1), 4):
+        _, sums, attained = _witness_of(vals, quad)
+        i, j, k, l = quad
+        names = (f"{i}{j}|{k}{l}", f"{i}{k}|{j}{l}", f"{i}{l}|{j}{k}")
+        parts = "  ".join(f"{name}:{s}" for name, s in zip(names, sums))
+        lines.append(f"  quad {quad}: {parts}  max at {','.join(names[p] for p in attained)}")
+    return "\n".join(lines) + "\n"
+
+
+def _trop_check_setup():
+    """d of _weighted_tree(32) in a TSV file, and the file `trop check` is to write,
+    in a temporary directory that goes away with the returned object."""
+    d = gt.dissimilarity(_weighted_tree(32))
+    tmp = tempfile.TemporaryDirectory()
+    src, out = Path(tmp.name) / "d.tsv", Path(tmp.name) / "out.txt"
+    src.write_text(d.to_tsv() + "\n", encoding="utf-8")
+    return d, tmp, src, out
+
+
+def _trop_check(arg):
+    d, tmp, src, out = arg
+    return d, tmp, cli.main(["trop", "check", "--input", str(src), "--output", str(out)]), out
+
+
+def _trop_check_holds(res) -> bool:
+    d, _, code, out = res
+    return code == 0 and out.read_text(encoding="utf-8") == _check_text(d)
+
+
 def _tropical_case(run, check, text=None):
-    """A case on d = dissimilarity of _weighted_tree32(): run gets d, or
+    """A case on d = dissimilarity of _weighted_tree(32): run gets d, or
     d rendered by text, and check gets (weighting, d, result)."""
 
     def setup():
-        r = _weighted_tree32()
+        r = _weighted_tree(32)
         d = gt.dissimilarity(r)
         return r, d, d if text is None else text(d)
 
@@ -419,6 +479,53 @@ def _paths_hold(res) -> bool:
         sorted(path) == [k for k, side in enumerate(sides) if (i in side) != (j in side)]
         for (i, j), path in paths.items()
     )
+
+
+README_ENUMERATE_N4 = """\
+{"n":4,"edges":[[1,5],[2,5],[3,6],[4,6],[5,6]]}
+{"n":4,"edges":[[1,5],[2,6],[3,5],[4,6],[5,6]]}
+{"n":4,"edges":[[1,5],[2,6],[3,6],[4,5],[5,6]]}
+"""
+
+README_MATRIX_N4 = """\
+edge\tp[1,2]\tp[1,3]\tp[1,4]\tp[2,3]\tp[2,4]\tp[3,4]
+l1\t1\t1\t1\t0\t0\t0
+l2\t1\t0\t0\t1\t1\t0
+l3\t0\t1\t0\t1\t0\t1
+l4\t0\t0\t1\t0\t1\t1
+e3-4\t0\t1\t1\t1\t1\t0
+"""
+
+CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+    PYTHONDONTWRITEBYTECODE="1",
+)
+
+
+def _startup(args: list[str], make):
+    """A case running `python -m grasstrop.cli args` in a fresh interpreter;
+    make() gives its stdin and expected stdout."""
+
+    def run(arg):
+        stdin, expect = arg
+        proc = subprocess.run(
+            [sys.executable, "-m", "grasstrop.cli", *args],
+            input=stdin, capture_output=True, text=True, env=CLI_ENV, cwd=ROOT, timeout=120,
+        )
+        return proc, expect
+
+    def check(res) -> bool:
+        proc, expect = res
+        return proc.returncode == 0 and proc.stdout == expect and proc.stderr == ""
+
+    return make, run, check
+
+
+def _check_n6():
+    """d of _weighted_tree(6) as TSV, and its `trop check` text."""
+    d = gt.dissimilarity(_weighted_tree(6))
+    return d.to_tsv() + "\n", _check_text(d)
 
 
 def _box_members():
@@ -538,7 +645,7 @@ CASES = {
     "canonicalize-n32": (_scrambled32, _canonicalize, _tables_hold),
     "leaf-paths-n32": (lambda: _random_tree(random.Random(35), 32), _all_paths, _paths_hold),
     "dissimilarity-n32": (
-        _weighted_tree32,
+        lambda: _weighted_tree(32),
         lambda r: (r, gt.dissimilarity(r)),
         _path_sums_hold,
     ),
@@ -566,6 +673,15 @@ CASES = {
         lambda r, d, res: res == d,
         text=gt.DissimilarityVector.to_tsv,
     ),
+    "trop-check-n32": (_trop_check_setup, _trop_check, _trop_check_holds),
+    "cli-trees-enumerate-n4": _startup(["trees", "enumerate", "--n", "4"], lambda: ("", README_ENUMERATE_N4)),
+    "cli-trop-check-n6": _startup(["trop", "check", "--input", "-"], _check_n6),
+    "cli-val-matrix-n4": _startup(
+        ["val", "matrix", "--tree", "-"],
+        # the command ends the table with an empty line
+        lambda: (README_ENUMERATE_N4.splitlines()[0], README_MATRIX_N4 + "\n"),
+    ),
+    "cli-paper-example": _startup(["paper-example"], lambda: ("", report.GOLDEN)),
 }
 
 
@@ -618,6 +734,7 @@ def main(argv: list[str] | None = None) -> int:
         "cpus": os.cpu_count(),
         "commit": commit,
         "dirty": dirty,
+        "bytecode_cache": (ROOT / "src" / "grasstrop" / "__pycache__").is_dir(),
         "repeats": REPEATS,
         "cases": measure(),
     }

@@ -13,6 +13,9 @@ Exit codes: 0 on success or a verified property, 1 on a failed
 verification (a vector outside the tropical Grassmannian, a golden
 mismatch), 2 on usage or format errors.  Every input option accepts "-"
 for stdin.  All output is deterministic.
+
+Only `trees` is imported with this module; each command imports the
+other library modules it runs, so a request loads only what it needs.
 """
 
 from __future__ import annotations
@@ -23,12 +26,8 @@ import sys
 from decimal import Decimal
 from math import floor, lgamma, log
 
-from . import report as report_mod
-from .tropical import DissimilarityVector, EdgeWeighting, dissimilarity
-from .tropical import _WEIGHTING_SHAPE, is_tropical_point, reconstruct_tree
 from .trees import _json_object, double_factorial, enumerate_trivalent, parse_edge_order
 from .trees import tree_from_json, tree_to_json, tree_to_newick
-from .valuation import valuation_matrix
 
 # Largest n whose trees `trees enumerate` lists: 135135 trees at n=9, while
 # n=10 has 2027025 and n=12 already 654729075.  --count has no limit.
@@ -77,7 +76,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_vector(args: argparse.Namespace) -> DissimilarityVector:
+def _read_vector(args: argparse.Namespace):
+    from .tropical import DissimilarityVector
+
     text = _read_text(args.input)
     fmt = args.format
     if fmt is None:
@@ -109,6 +110,8 @@ def cmd_trees_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_trop_dissim(args: argparse.Namespace) -> int:
+    from .tropical import _WEIGHTING_SHAPE, EdgeWeighting, dissimilarity
+
     r = EdgeWeighting.from_json_dict(_json_object(_read_text(args.input), _WEIGHTING_SHAPE))
     d = dissimilarity(r)
     if (args.format or "tsv") == "json":
@@ -119,6 +122,8 @@ def cmd_trop_dissim(args: argparse.Namespace) -> int:
 
 
 def cmd_trop_check(args: argparse.Namespace) -> int:
+    from .tropical import is_tropical_point
+
     d = _read_vector(args)
     ok, witnesses = is_tropical_point(d)
     if ok:
@@ -132,6 +137,8 @@ def cmd_trop_check(args: argparse.Namespace) -> int:
 
 
 def cmd_trop_reconstruct(args: argparse.Namespace) -> int:
+    from .tropical import reconstruct_tree
+
     d = _read_vector(args)
     _, r = reconstruct_tree(d)
     _emit(args, json.dumps(r.to_json_dict(), indent=2) + "\n")
@@ -139,6 +146,8 @@ def cmd_trop_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_val_matrix(args: argparse.Namespace) -> int:
+    from .valuation import valuation_matrix
+
     t = tree_from_json(_read_text(args.tree))
     order = parse_edge_order(t, args.order) if args.order else t.edge_ids
     m = valuation_matrix(t, order)
@@ -147,10 +156,12 @@ def cmd_val_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_example(args: argparse.Namespace) -> int:
+    from .report import build_report, check_report
+
     if args.emit:
-        _emit(args, report_mod.build_report())
+        _emit(args, build_report())
         return 0
-    ok, text = report_mod.check_report()
+    ok, text = check_report()
     if ok:
         _emit(args, text)
         return 0

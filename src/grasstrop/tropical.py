@@ -277,9 +277,10 @@ class QuartetWitness:
         return (f"{i}{j}|{k}{l}", f"{i}{k}|{j}{l}", f"{i}{l}|{j}{k}")
 
     def describe(self) -> str:
-        parts = [f"{p}:{s}" for p, s in zip(self.pairings(), self.sums)]
-        tags = ",".join(self.pairings()[a] for a in self.attained)
-        return f"quad {self.quad}: " + "  ".join(parts) + f"  max at {tags}"
+        names = self.pairings()
+        a, b, c = self.sums
+        tags = ",".join([names[p] for p in self.attained])
+        return f"quad {self.quad}: {names[0]}:{a}  {names[1]}:{b}  {names[2]}:{c}  max at {tags}"
 
 
 # positions of the maximum among three sums, keyed by which sums equal it

@@ -284,6 +284,17 @@ def test_four_point_matches_the_oracle():
     assert oracle_mismatches() == []
 
 
+def test_describe_matches_the_oracle():
+    # the line `trop check` prints per quadruple, spelled out from the oracle's Fraction sums
+    for d in four_point_corpus():
+        for w in is_tropical_point(d)[1]:
+            quad, sums, attained = quartet(d, w.quad)
+            i, j, k, l = quad
+            names = (f"{i}{j}|{k}{l}", f"{i}{k}|{j}{l}", f"{i}{l}|{j}{k}")
+            parts = "  ".join(f"{name}:{s}" for name, s in zip(names, sums))
+            assert w.describe() == f"quad {quad}: {parts}  max at {','.join(names[p] for p in attained)}"
+
+
 def test_four_point_matches_the_oracle_in_optimized_mode():
     # python -O strips assert statements; the verdicts must not depend on them
     root = Path(__file__).resolve().parents[1]
