@@ -74,6 +74,11 @@ the tropical layer on a 32-leaf tree:
   `trop check` does.  Both are checked to accept d and to name every
   quadruple in order with its three pairing sums, added as Fractions
   from `d.as_dict()`, and the positions of their maximum;
+- `round-trip-n8`: `dissimilarity`, `is_tropical_point` and
+  `reconstruct_tree` on each of 200 seeded 8-leaf weightings made as the
+  32-leaf one; each d is checked against sums of weights along
+  `leaf_path` and to be accepted, and each reconstruction to return the
+  input tree, with its canonical preorder, and its weights;
 - `four-point-n32-reject`: `is_tropical_point` on d with one pair of a
   maximal pairing of a seeded quadruple raised by 1/2, checked to
   reject it with the witness of the first quadruple whose maximum is
@@ -311,7 +316,11 @@ def _enumeration_holds(trees, n: int = 8) -> bool:
 def _weighted_tree(n: int) -> gt.EdgeWeighting:
     """A tree on n leaves and weights (leaf weights of either sign, internal
     weights positive), all from random.Random(n)."""
-    rng = random.Random(n)
+    return _random_weighting(random.Random(n), n)
+
+
+def _random_weighting(rng: random.Random, n: int) -> gt.EdgeWeighting:
+    """A random tree on n leaves and weights, drawn as for _weighted_tree."""
     t = _random_tree(rng, n)
     return gt.EdgeWeighting.of(t, {
         e: Fraction(rng.randint(-4, 6) if e.startswith("l") else rng.randint(1, 6), rng.randint(1, 3))
@@ -325,6 +334,27 @@ def _path_sums_hold(rd) -> bool:
         (i, j): sum(r.weight(e) for e in gt.leaf_path(r.tree, i, j))
         for i, j in gt.leaf_pairs(r.tree.n)
     }
+
+
+ROUND_TRIPS = 200
+
+
+def _round_trips(rs):
+    """dissimilarity, is_tropical_point and reconstruct_tree on each weighting."""
+    out = []
+    for r in rs:
+        d = gt.dissimilarity(r)
+        out.append((r, d, gt.is_tropical_point(d)[0], gt.reconstruct_tree(d)))
+    return out
+
+
+def _round_trips_hold(res) -> bool:
+    """Each d holds the sums along leaf paths, is accepted, and gives back
+    the input tree, in canonical form, and its weights."""
+    return len(res) == ROUND_TRIPS and all(
+        ok and _path_sums_hold((r, d)) and rec == (r.tree, r) and rec[0]._pre == r.tree._pre
+        for r, d, ok, rec in res
+    )
 
 
 def _witness_of(vals, quad):
@@ -648,6 +678,11 @@ CASES = {
         lambda: _weighted_tree(32),
         lambda r: (r, gt.dissimilarity(r)),
         _path_sums_hold,
+    ),
+    "round-trip-n8": (
+        lambda: [_random_weighting(random.Random(f"round-trip-{k}"), 8) for k in range(ROUND_TRIPS)],
+        _round_trips,
+        _round_trips_hold,
     ),
     "four-point-n32": _tropical_case(gt.is_tropical_point, lambda r, d, res: _witnesses_hold(d, res)),
     "four-point-n32-witnesses": _tropical_case(

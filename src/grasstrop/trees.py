@@ -10,11 +10,12 @@ preorder and the same sorted `edges`, and compare equal as plain values.
 A `LabeledTree` keeps `n`, `edges` and the preorder: `_pre`, the labels in
 walk order, and `_up`, each position's parent position (-1 for leaf 1).
 The validating constructor takes the preorder from its one walk over the
-raw edges, and `enumerate_trivalent` grows it (see `_grow`).  Every other
-table is read off these two arrays, with no second walk: parent and
-ordered children, spans and `planar_leaf_order`, the bottom-up order (the
-preorder reversed), child vertex and parent edge of each edge, stars and
-`_shape`.
+raw edges, `enumerate_trivalent` grows it (see `_grow`), and leaf
+insertion hands over its tree already rooted (see `_canonical_form`).
+Every other table is read off these two arrays, with no second walk:
+parent and ordered children, spans and `planar_leaf_order`, the bottom-up
+order (the preorder reversed), child vertex and parent edge of each edge,
+stars and `_shape`.
 
 Inside the library an edge is addressed either by its position in
 `edge_ids` or by its child vertex, the endpoint away from leaf 1 (for the
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, count
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 EdgeId = str
 
@@ -61,6 +62,8 @@ def double_factorial(k: int) -> int:
 
 
 def _build_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    if n < 3:
+        raise ValueError(f"need at least 3 leaves, got {n}")
     adj: dict[int, list[int]] = {}
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
@@ -87,55 +90,53 @@ def _build_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list
     return adj
 
 
-def _root_at_leaf_1(n: int, adj: Mapping[int, Iterable[int]]) -> tuple[list[int], list[int]]:
-    """The canonical preorder over the given vertex labels: the vertices in
-    the order of the walk from leaf 1, and each one's parent position (-1
-    for leaf 1).
-
-    The walk descends into the children of a vertex in order of the
-    smallest leaf below them, so it meets the leaves in planar order.  It
-    also checks that the graph is connected, which with one edge fewer
-    than vertices makes it a tree.
-    """
+def _root_at_leaf_1(adj: Mapping[int, Iterable[int]]) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Each vertex's parent (0 for leaf 1) and children in the graph rooted
+    at leaf 1.  The walk also checks that the graph is connected, which
+    with one edge fewer than vertices makes it a tree."""
     parent = {1: 0}
+    children: dict[int, list[int]] = {}
     order = [1]
     for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
+        kids = children[v] = [w for w in adj[v] if w not in parent]
+        parent.update(dict.fromkeys(kids, v))
+        order += kids
     if len(order) != len(adj):
         raise ValueError("graph is not connected")
-    minleaf: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    for v in reversed(order):
-        kids = children[v] = sorted((w for w in adj[v] if w != parent[v]), key=minleaf.__getitem__)
-        minleaf[v] = v if v <= n else minleaf[kids[0]]
-    pre: list[int] = []
+    return parent, children
+
+
+def _canonical_form(
+    n: int, parent: Mapping[int, int] | Sequence[int], children: Mapping[int, list[int]] | Sequence[list[int]]
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """(sorted canonical edges, canonical preorder, parent positions,
+    old->new label map) of a tree rooted at leaf 1, given by each vertex's
+    parent (0 for leaf 1) and children, which it does not validate.
+
+    The walk descends into the children of a vertex in order of the
+    smallest leaf below them, so it meets the leaves in planar order.
+    Leaf insertion hands its rooted tree straight to this step.
+    """
+    minleaf = {0: 0}
+    for leaf in range(1, n + 1):  # the first leaf to reach a vertex is the smallest below it
+        v = leaf
+        while v not in minleaf:
+            minleaf[v] = leaf
+            v = parent[v]
+    order: list[int] = []
     up: list[int] = []
     stack = [(1, -1)]
     while stack:
         v, p = stack.pop()
-        stack.extend((w, len(pre)) for w in reversed(children[v]))
-        pre.append(v)
+        stack.extend((w, len(order)) for w in sorted(children[v], key=minleaf.__getitem__, reverse=True))
+        order.append(v)
         up.append(p)
-    return pre, up
-
-
-def _canonical_form(
-    n: int, edges: Iterable[tuple[int, int]]
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
-    """Validate the edges and walk them once: (sorted canonical edges,
-    canonical preorder, parent positions, old->new label map)."""
-    if n < 3:
-        raise ValueError(f"need at least 3 leaves, got {n}")
-    edges = tuple(edges)
-    pre, up = _root_at_leaf_1(n, _build_adjacency(n, edges))
     old2new = {i: i for i in range(1, n + 1)}
-    internal = (v for v in pre if v > n)
+    internal = (v for v in order if v > n)
     old2new.update((v, new) for new, v in enumerate(internal, start=n + 1))
-    new_edges = sorted(tuple(sorted((old2new[u], old2new[v]))) for u, v in edges)
-    return tuple(new_edges), tuple(map(old2new.__getitem__, pre)), tuple(up), old2new
+    pre = tuple(map(old2new.__getitem__, order))
+    edges = sorted((pre[p], v) if pre[p] < v else (v, pre[p]) for p, v in zip(up[1:], pre[1:]))
+    return tuple(edges), pre, tuple(up), old2new
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,8 @@ class LabeledTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        edges, pre, up, _ = _canonical_form(self.n, self.edges)
+        rooted = _root_at_leaf_1(_build_adjacency(self.n, self.edges))
+        edges, pre, up, _ = _canonical_form(self.n, *rooted)
         self.__dict__.update(edges=edges, _pre=pre, _up=up)
 
     @classmethod
@@ -155,7 +157,7 @@ class LabeledTree:
     ) -> tuple[LabeledTree, dict[int, int]]:
         """The tree on these edges, canonicalized once, and the map from the
         given vertex labels to the canonical ones."""
-        edges, pre, up, old2new = _canonical_form(n, edges)
+        edges, pre, up, old2new = _canonical_form(n, *_root_at_leaf_1(_build_adjacency(n, edges)))
         return cls._from_canonical(n, edges, pre, up), old2new
 
     @classmethod
@@ -586,6 +588,16 @@ def _leaf_index(text: str) -> int:
     return int(text)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational spelled in ASCII; `Fraction` would also take non-ASCII digits."""
+    try:
+        if not str(text).isascii():
+            raise ValueError("not ASCII")
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+
+
 def _json_integer(value: object, what: str) -> int:
     """A JSON integer as read by `json.loads`; floats and booleans are refused."""
     if type(value) is not int:
@@ -698,8 +710,8 @@ def tree_from_newick(text: str) -> tuple[LabeledTree, dict[EdgeId, Fraction] | N
             length: Fraction | None = None
             if pos < len(tokens) and tokens[pos].startswith(":"):
                 try:
-                    length = Fraction(tokens[pos][1:])
-                except (ValueError, ZeroDivisionError) as exc:
+                    length = parse_rational(tokens[pos][1:])
+                except ValueError as exc:
                     raise ValueError(f"bad branch length {tokens[pos][1:]!r}") from exc
                 pos += 1
             lengths[(me, node)] = length

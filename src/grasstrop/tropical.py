@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .trees import EdgeId, LabeledTree, _json_integer, _json_object, _leaf_index
-from .trees import tree_from_json_dict, tree_to_json_dict
+from .trees import EdgeId, LabeledTree, _canonical_form, _json_integer, _json_object, _leaf_index
+from .trees import parse_rational, tree_from_json_dict, tree_to_json_dict
 
 Rational = Fraction
 
@@ -73,13 +73,6 @@ def _integer_scaled(values: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]
     return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
-
-
 _WEIGHTING_SHAPE = "weighting JSON must be an object with keys 'tree' and 'weights'"
 
 
@@ -91,10 +84,8 @@ class EdgeWeighting:
     values: tuple[Fraction, ...]  # aligned with tree.edge_ids
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.tree.edge_ids):
-            raise ValueError(
-                f"expected {len(self.tree.edge_ids)} weights, got {len(self.values)}"
-            )
+        if len(self.values) != len(self.tree.edges):
+            raise ValueError(f"expected {len(self.tree.edge_ids)} weights, got {len(self.values)}")
         vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         n = self.tree.n
@@ -180,8 +171,15 @@ class DissimilarityVector:
     def _realization(self) -> "EdgeWeighting | None":
         """The minimal tree realization of self, or None if leaf insertion finds none."""
         r = _insert_leaves(self)
-        # a weighting that reproduces self certifies the four-point condition
-        return r if r is not None and dissimilarity(r) == self else None
+        if r is None:
+            return None
+        # a weighting whose path sums equal self on every pair certifies the
+        # four-point condition: got[i][j] / den_r == table[i][j] / den
+        got, den_r = _path_sums(r)
+        table, den = self._table
+        if all([x * den for x in g] == [y * den_r for y in row] for g, row in zip(got, table)):
+            return r
+        return None
 
     @cached_property
     def _violation(self) -> "QuartetWitness | None":
@@ -404,33 +402,36 @@ def is_tropical_point(d: DissimilarityVector) -> tuple[bool, Sequence[QuartetWit
     return True, _Witnesses(d)
 
 
-def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
-    """Path-sum dissimilarity vector of an edge weighting."""
+def _path_sums(r: EdgeWeighting) -> tuple[list[list[int]], int]:
+    """(D, den) with den the lcm of r's denominators and D[i][j] = den times
+    the weight of the path between leaves i and j, from one pass up the
+    preorder with no recursion: the leaves below each vertex v gather into
+    one list, and a pair whose lists meet at v gets h_i + h_j - 2 h_v, with
+    h the height over leaf 1."""
     t = r.tree
     den, w = r._integer_weights
-    parent = t._parent
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in parent]
-    for k, v in enumerate(t._edge_child):
-        nbrs[v].append((parent[v], w[k]))
-        nbrs[parent[v]].append((v, w[k]))
-    n = t.n
-    table = [[0] * (n + 1)]
-    vals: list[Fraction] = []
-    for i in range(1, n):
-        # one walk from leaf i gives its path sums to every leaf
-        dist = {i: 0}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for u, x in nbrs[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + x
-                    stack.append(u)
-        row = [0] + [dist[j] for j in range(1, n + 1)]
-        table.append(row)
-        vals += [Fraction(x, den) for x in row[i + 1:]]
-    table.append([0] + [row[n] for row in table[1:]] + [0])
-    d = DissimilarityVector(n, tuple(vals))
+    pre, up, edge, n = t._pre, t._up, t._parent_edge, t.n
+    h = [0] * (len(pre) + 1)  # per vertex: den times its height over leaf 1
+    for v, p in zip(pre[1:], up[1:]):
+        h[v] = h[pre[p]] + w[edge[v]]
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    below = [[v] if v <= n else [] for v in pre]  # per position: the leaves met so far below it
+    for q in range(len(pre) - 1, 0, -1):
+        met = below[up[q]]
+        top = 2 * h[pre[up[q]]]
+        for b in below[q]:
+            row, y = table[b], h[b] - top
+            for a in met:
+                row[a] = table[a][b] = y + h[a]
+        met += below[q]
+    return table, den
+
+
+def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
+    """Path-sum dissimilarity vector of an edge weighting."""
+    table, den = _path_sums(r)
+    n = r.tree.n
+    d = DissimilarityVector(n, tuple([Fraction(x, den) for i in range(1, n) for x in table[i][i + 1 :]]))
     # the integer table over den is at hand; the four-point certificate reads it
     d.__dict__["_table"] = (table, den)
     return d
@@ -445,6 +446,7 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
 
     Returns None as soon as an insertion is inconsistent.  A returned
     weighting is a candidate only: the caller checks that it reproduces d.
+    Its tree comes from the insertion's own parent links (see _canonical_form).
     """
     table, den = d._table
     n = d.n
@@ -454,7 +456,7 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
     # realization a leaf weight is a Gromov product of d, at least
     # -3 max|den * d| units, so with this m every leaf edge is positive:
     # no leaf lies on the path between two others.
-    m = 3 * max(abs(x) for row in table for x in row) + 1
+    m = 3 * max(map(abs, itertools.chain.from_iterable(table))) + 1
     dist = [[x + m for x in row] for row in table]
     d1 = dist[1]
     parent = [0] * (2 * n)
@@ -499,16 +501,20 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
         if any(far[b] != 2 * dx[b] for b in range(1, x)):
             return None
 
-    edges = tuple((v, parent[v]) for v in range(2, fresh))
-    tree, old2new = LabeledTree._relabeled(n, edges)
-    up = tree._parent_edge
-    values = [Fraction(0)] * len(tree.edge_ids)
-    for v, u in edges:
+    children: list[list[int]] = [[] for _ in range(fresh)]
+    for v in range(2, fresh):
+        children[parent[v]].append(v)
+    edges, pre, up, old2new = _canonical_form(n, parent, children)
+    tree = LabeledTree._from_canonical(n, edges, pre, up)
+    edge = tree._parent_edge
+    values = [Fraction(0)] * len(tree.edges)
+    for v in range(2, fresh):
+        u = parent[v]
         length = pos[v] - pos[u]
         if v <= n or u == 1:  # a leaf edge: take the shift back off
             length -= m
         # v lies away from leaf 1 here, so it is the edge's child in the tree too
-        values[up[old2new[v]]] = Fraction(length, 2 * den)
+        values[edge[old2new[v]]] = Fraction(length, 2 * den)
     return EdgeWeighting(tree, tuple(values))
 
 

@@ -261,6 +261,9 @@ def test_malformed_json_input(capsys, monkeypatch):
         (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '"3,0_4"')),
         (("trop", "check"), TROPICAL_JSON.replace('"3,4"', '"\u0663,4"')),
         (("trop", "check"), TROPICAL_TSV.replace("3\t4\t2", "3\t+4\t2")),
+        (("trop", "check"), TROPICAL_TSV.replace("3\t4\t2", "3\t4\t\u0662")),
+        (("trop", "check"), TROPICAL_JSON.replace('"3,4":"2"', '"3,4":"\u0661/\u0662"')),
+        (("trop", "dissim"), ONES_WEIGHTING.replace('"e3-4": "1"', '"e3-4": "\u0661"')),
         (("trop", "dissim"), '{"a":' * 5000),
         (("trop", "check"), '{"a":' * 5000),
         (("trop", "reconstruct"), '{"a":' * 5000),
@@ -272,7 +275,8 @@ def test_malformed_json_input(capsys, monkeypatch):
         "check-tsv-leaf-0", "reconstruct-tsv-leaf-0", "check-n-overflow", "dissim-vertex-overflow",
         "check-n-float", "reconstruct-n-integral-float", "check-n-bool", "dissim-n-integral-float",
         "dissim-vertex-bool", "check-key-plus-sign", "check-key-space", "check-key-underscore",
-        "check-key-arabic-indic-digit", "check-tsv-index-plus-sign",
+        "check-key-arabic-indic-digit", "check-tsv-index-plus-sign", "check-tsv-value-arabic-indic-digit",
+        "check-value-arabic-indic-digits", "dissim-weight-arabic-indic-digit",
         "dissim-nested-past-recursion-limit", "check-nested-past-recursion-limit",
         "reconstruct-nested-past-recursion-limit", "matrix-nested-past-recursion-limit",
     ],

@@ -291,9 +291,9 @@ def test_one_rooted_walk_per_tree_built_from_edges(monkeypatch):
     walks = []
     original = trees_mod._root_at_leaf_1
 
-    def counted(n, adj):
-        walks.append(n)
-        return original(n, adj)
+    def counted(adj):
+        walks.append(len(adj))
+        return original(adj)
 
     monkeypatch.setattr(trees_mod, "_root_at_leaf_1", counted)
     rng = random.Random(89)
@@ -315,7 +315,46 @@ def test_one_rooted_walk_per_tree_built_from_edges(monkeypatch):
         for t in build():
             read_every_table(t)
         counts[how] = len(walks)
-    assert counts == {**dict.fromkeys(builders, 1), "enumerate_trivalent": 0}
+    # reconstruction and enumeration hand over trees already rooted at leaf 1
+    assert counts == {**dict.fromkeys(builders, 1), "reconstruct_tree": 0, "enumerate_trivalent": 0}
+
+
+def rooted_parents(rng, n, edges):
+    """Each vertex's parent (0 for leaf 1) and children in lists indexed by
+    label, as leaf insertion holds them, with each children list shuffled."""
+    size = 1 + max(max(e) for e in edges)
+    adj = [[] for _ in range(size)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent, children, order = [0] * size, [[] for _ in range(size)], [1]
+    for v in order:
+        children[v] = [w for w in adj[v] if w != parent[v]]
+        rng.shuffle(children[v])
+        for w in children[v]:
+            parent[w] = v
+        order += children[v]
+    return parent, children
+
+
+def test_rooted_parents_build_the_tree_of_their_edges():
+    # leaf insertion hands its rooted tree to _canonical_form and skips the
+    # validating walk over raw edges; both ways must give the same tree
+    rng = random.Random(97)
+    for n in range(3, 41):
+        t = grown_tree(rng, n)
+        for _ in range(3):  # trivalent, then partly contracted
+            label = {i: i for i in t.leaves}
+            internal = t.internal_vertices
+            label.update(zip(internal, rng.sample(range(n + 1, 3 * n), len(internal))))
+            edges = [(label[u], label[v]) for u, v in t.edges]
+            expect, old2new = LabeledTree._relabeled(n, edges)
+            form = trees_mod._canonical_form(n, *rooted_parents(rng, n, edges))
+            got = LabeledTree._from_canonical(n, *form[:3])
+            assert (got.edges, got._pre, got._up, form[3]) == (expect.edges, expect._pre, expect._up, old2new)
+            assert got == expect == t
+            if t.internal_edge_ids:
+                t = contract_edge(t, rng.choice(t.internal_edge_ids))
 
 
 def test_index_tables_match_edge_ids():
@@ -440,6 +479,9 @@ def test_newick_rejects_malformed():
     # leaf labels are ASCII digits only, as in every other reader
     for bad in ("(\u0661,2,(3,4));", "(1,+2,(3,4));", "(1,2,(3,4_0));"):
         with pytest.raises(ValueError, match="leaf labels must be integers"):
+            tree_from_newick(bad)
+    for bad in ("(1:\u0661,2:1,3:1);", "(1:1,2:1/0,3:1);", "(1:1,2:x,3:1);"):
+        with pytest.raises(ValueError, match="bad branch length"):
             tree_from_newick(bad)
 
 

@@ -15,6 +15,7 @@ from grasstrop import (
     cone_of,
     contract_edge,
     dissimilarity,
+    enumerate_trivalent,
     is_tropical_point,
     leaf_path,
     reconstruct_tree,
@@ -405,17 +406,111 @@ def four_point_verdict(d):
     return ok, tuple(QuartetWitness(*q) for q in quartets)
 
 
-def test_dissimilarity_matches_leaf_path_sums():
+def fan(n):
+    """Every tree on leaves 1..n: the trivalent ones and all their contractions."""
+    trees = set(enumerate_trivalent(n))
+    todo = list(trees)
+    while todo:
+        t = todo.pop()
+        for eid in t.internal_edge_ids:
+            c = contract_edge(t, eid)
+            if c not in trees:
+                trees.add(c)
+                todo.append(c)
+    return sorted(trees, key=lambda t: t.edges)
+
+
+def path_sum_mismatches():
+    """What dissimilarity gets wrong against sums of weights along leaf_path:
+    on every tree of the fan for n = 3..6 (1, 4, 26 and 236 trees), on grown
+    and contracted trees, and, through its integer table, on sampled pairs
+    of two 1500-leaf trees."""
     rng = random.Random(61)
-    for n in (3, 4, 6, 9, 13, 20):
+    bad = []
+
+    def reference(r, i, j):
+        return sum((r.weight(e) for e in leaf_path(r.tree, i, j)), Fraction(0))
+
+    trees = []
+    for n, count in ((3, 1), (4, 4), (5, 26), (6, 236)):
+        cones = fan(n)
+        if len(cones) != count:
+            bad.append(("fan size", n, len(cones)))
+        trees += cones
+    for n in (9, 13, 20):
         t = grown_tree(rng, n)
-        for tree in (t, contract_edge(t, t.internal_edge_ids[0]) if n > 4 else t):
-            r = random_weighting(rng, tree)
-            expect = tuple(
-                sum((r.weight(e) for e in leaf_path(tree, i, j)), Fraction(0))
-                for i, j in itertools.combinations(range(1, n + 1), 2)
-            )
-            assert dissimilarity(r).values == expect
+        trees += [t, contract_edge(t, t.internal_edge_ids[0])]
+    for t in trees:
+        r = random_weighting(rng, t)
+        expect = tuple(reference(r, i, j) for i, j in itertools.combinations(t.leaves, 2))
+        if dissimilarity(r).values != expect:
+            bad.append(t.edges)
+    for t in (caterpillar(1500), grown_tree(rng, 1500)):
+        r = random_weighting(rng, t)
+        table, den = tropical_mod._path_sums(r)
+        pairs = [(1, 2), (1, 1500), (1499, 1500)] + [sorted(rng.sample(t.leaves, 2)) for _ in range(200)]
+        for i, j in pairs:
+            if table[j][i] != table[i][j] or Fraction(table[i][j], den) != reference(r, i, j):
+                bad.append((1500, t.edges[:3], i, j))
+    return bad
+
+
+def test_dissimilarity_matches_leaf_path_sums():
+    assert path_sum_mismatches() == []
+
+
+def test_dissimilarity_matches_leaf_path_sums_in_optimized_mode():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    code = "import test_tropical\nprint(test_tropical.path_sum_mismatches())\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout == "[]\n"
+
+
+def test_certificate_compares_tables_over_different_denominators():
+    # leaf weights of 1/2 and integer internal weights give integer path
+    # sums: the vector read back has denominator 1, its realization 2
+    rng = random.Random(101)
+    for n in (4, 7, 12):
+        t = grown_tree(rng, n)
+        weights = {eid: Fraction(1, 2) if eid[0] == "l" else rng.randint(1, 5) for eid in t.edge_ids}
+        r = EdgeWeighting.of(t, weights)
+        d = DissimilarityVector.from_tsv(dissimilarity(r).to_tsv())
+        assert d._table[1] == 1 and r._integer_weights[0] == 2
+        assert is_tropical_point(d)[0]
+        assert reconstruct_tree(d) == (t, r)
+
+
+def test_a_candidate_off_by_the_smallest_step_certifies_nothing(monkeypatch):
+    # the candidate misses d on one pair only, by 1/den in either direction
+    rng = random.Random(103)
+    r = random_weighting(rng, grown_tree(rng, 7))
+    monkeypatch.setattr(tropical_mod, "_insert_leaves", lambda d: r)
+    d = dissimilarity(r)
+    step = Fraction(1, d._table[1])
+    for k in range(len(d.values)):
+        for sign in (1, -1):
+            values = list(d.values)
+            values[k] += sign * step
+            near = DissimilarityVector(d.n, tuple(values))
+            assert near._realization is None
+            assert is_tropical_point(near) == four_point_verdict(near)
+
+
+def test_reconstruction_hands_over_the_canonical_tree():
+    # the tree insertion builds from its own parent links is the tree the
+    # validating constructor gives on the same edges, table for table
+    rng = random.Random(107)
+    for n in range(3, 41):
+        t = grown_tree(rng, n)
+        for _ in range(2):  # trivalent, then partly contracted
+            t2, r2 = reconstruct_tree(dissimilarity(random_weighting(rng, t)))
+            assert (t2.edges, t2._pre, t2._up) == (t.edges, t._pre, t._up)
+            if t.internal_edge_ids:
+                t = contract_edge(t, rng.choice(t.internal_edge_ids))
 
 
 def test_cone_of():
