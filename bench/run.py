@@ -83,6 +83,13 @@ the tropical layer on a 32-leaf tree:
   maximal pairing of a seeded quadruple raised by 1/2, checked to
   reject it with the witness of the first quadruple whose maximum is
   attained once, found the same way;
+- `reject-n8`: `is_tropical_point` and `reconstruct_tree` on each of
+  200 seeded 8-leaf vectors, made as `round-trip-n8`'s are and then
+  perturbed in the same way; each is checked to be rejected with the
+  witness of its first violating quadruple, and `reconstruct_tree` to
+  raise `NotTropicalError` with that witness.  A rejected vector is
+  inserted in full and fails the realization certificate before the
+  integer scan names its quadruple, so this case times that trade;
 - `trop-check-n32`: `cli.main` on `trop check` of that d, read from a
   TSV file and written to another in a temporary directory, so the
   35960 quadruple lines are built and written as the command does; each
@@ -133,6 +140,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import grasstrop as gt  # noqa: E402
 from grasstrop import cli, report  # noqa: E402
+from grasstrop.tropical import NotTropicalError  # noqa: E402
 
 
 def _caterpillar(n: int) -> gt.LabeledTree:
@@ -380,14 +388,51 @@ def _read_all_witnesses(d):
     return ok, tuple(witnesses)
 
 
-def _perturbed32() -> gt.DissimilarityVector:
-    """d of _weighted_tree(32) with one pair of a maximal pairing of a seeded
-    quadruple raised by 1/2, as a new vector."""
-    vals = gt.dissimilarity(_weighted_tree(32)).as_dict()
-    i, j, k, l = quad = tuple(sorted(random.Random(4).sample(range(1, 33), 4)))
+def _perturbed(d, rng: random.Random) -> gt.DissimilarityVector:
+    """d with one pair of a maximal pairing of a quadruple drawn by rng
+    raised by 1/2, as a new vector."""
+    vals = d.as_dict()
+    i, j, k, l = quad = tuple(sorted(rng.sample(range(1, d.n + 1), 4)))
     top = _witness_of(vals, quad)[2][0]
     vals[(((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))[top][0]] += Fraction(1, 2)
-    return gt.DissimilarityVector.of(32, vals)
+    return gt.DissimilarityVector.of(d.n, vals)
+
+
+def _perturbed32() -> gt.DissimilarityVector:
+    """d of _weighted_tree(32) with a pair raised at a seeded quadruple."""
+    return _perturbed(gt.dissimilarity(_weighted_tree(32)), random.Random(4))
+
+
+def _rejected8():
+    """The vectors of 8-leaf weightings made as round-trip-n8's, each with
+    a pair raised at a quadruple drawn by the same generator."""
+    out = []
+    for k in range(ROUND_TRIPS):
+        rng = random.Random(f"reject-{k}")
+        out.append(_perturbed(gt.dissimilarity(_random_weighting(rng, 8)), rng))
+    return out
+
+
+def _rejections(ds):
+    """is_tropical_point on each vector, and the error reconstruct_tree raises."""
+    out = []
+    for d in ds:
+        verdict, error = gt.is_tropical_point(d), None
+        try:
+            gt.reconstruct_tree(d)
+        except NotTropicalError as exc:
+            error = exc
+        out.append((d, verdict, error))
+    return out
+
+
+def _rejections_hold(res) -> bool:
+    """Each vector is rejected with the witness of its first quadruple whose
+    maximum is attained once, and reconstruct_tree raises with that witness."""
+    return len(res) == ROUND_TRIPS and all(
+        _first_violation_named(d, verdict) and exc is not None and exc.witness == verdict[1][0]
+        for d, verdict, exc in res
+    )
 
 
 def _first_violation_named(d, res) -> bool:
@@ -694,6 +739,7 @@ CASES = {
         lambda d: (d, gt.is_tropical_point(d)),
         lambda res: _first_violation_named(*res),
     ),
+    "reject-n8": (_rejected8, _rejections, _rejections_hold),
     "reconstruct-n32": _tropical_case(
         gt.reconstruct_tree,
         lambda r, d, res: res == (r.tree, r),

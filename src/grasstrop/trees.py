@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -589,11 +590,18 @@ def _leaf_index(text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """A rational spelled in ASCII; `Fraction` would also take non-ASCII digits."""
+    """A rational spelled in ASCII; `Fraction` would also take non-ASCII digits.
+    Text m.fEk = int(mf) * 10**k / 10**len(f) is refused before any power of
+    ten is taken if a part could pass the limit on digits (`int` holds a/b to it)."""
     try:
-        if not str(text).isascii():
-            raise ValueError("not ASCII")
-        return Fraction(str(text).strip())
+        s = str(text)
+        mantissa, _, exp = s.strip().lower().partition("e")
+        whole, _, frac = mantissa.replace("_", "").lstrip("+-").partition(".")
+        k, limit = int(exp or 0), sys.get_int_max_str_digits()
+        digits = max(len((whole + frac).lstrip("0")) + max(k, 0), len(frac) - k + 1)
+        if not s.isascii() or (limit and "/" not in mantissa and digits > limit):
+            raise ValueError("not ASCII, or past the limit on digits")
+        return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 

@@ -169,12 +169,13 @@ class DissimilarityVector:
 
     @cached_property
     def _realization(self) -> "EdgeWeighting | None":
-        """The minimal tree realization of self, or None if leaf insertion finds none."""
+        """The minimal tree realization of self, or None if self has none.
+        Leaf insertion proposes it, and the one acceptance test, which
+        certifies the four-point condition, is that its path sums equal
+        self on every pair: got[i][j] / den_r == table[i][j] / den."""
         r = _insert_leaves(self)
         if r is None:
             return None
-        # a weighting whose path sums equal self on every pair certifies the
-        # four-point condition: got[i][j] / den_r == table[i][j] / den
         got, den_r = _path_sums(r)
         table, den = self._table
         if all([x * den for x in g] == [y * den_r for y in row] for g, row in zip(got, table)):
@@ -388,12 +389,13 @@ def is_tropical_point(d: DissimilarityVector) -> tuple[bool, Sequence[QuartetWit
 
     Returns (True, witnesses) or (False, (first failing witness,)).  A tree
     with nonnegative internal weights that reproduces d certifies the
-    condition, so an accepted d is decided by leaf insertion, O(n^2), and
-    scans no quadruple: `witnesses` is then a read-only sequence of all
-    C(n,4) witnesses in combinations order, built when first read, that
-    compares and hashes equal to the tuple of them.  Only when insertion
-    finds no realization does an integer scan look for the first quadruple
-    whose maximum is attained once.
+    condition: leaf insertion proposes one in O(n^2), and the certificate
+    of DissimilarityVector._realization is the one test.  An accepted d
+    scans no quadruple: `witnesses` is a read-only sequence of all C(n,4)
+    witnesses in combinations order, built when first read, that compares
+    and hashes equal to the tuple of them.  A rejected d is inserted in
+    full and fails the certificate before an integer scan names the first
+    quadruple whose maximum is attained once.
     """
     if d.n >= 4 and d._realization is None:
         w = d._violation
@@ -444,9 +446,10 @@ def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
 def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
     """Build a weighted tree leaf by leaf from Gromov products.
 
-    Returns None as soon as an insertion is inconsistent.  A returned
-    weighting is a candidate only: the caller checks that it reproduces d.
-    Its tree comes from the insertion's own parent links (see _canonical_form).
+    Returns None only when a Gromov product fails the structural guard
+    below; otherwise it always proposes a candidate, which the caller
+    accepts only if its path sums reproduce d (see _realization).  Its tree
+    comes from the insertion's own parent links (see _canonical_form).
     """
     table, den = d._table
     n = d.n
@@ -457,20 +460,22 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
     # -3 max|den * d| units, so with this m every leaf edge is positive:
     # no leaf lies on the path between two others.
     m = 3 * max(map(abs, itertools.chain.from_iterable(table))) + 1
-    dist = [[x + m for x in row] for row in table]
-    d1 = dist[1]
+    d1 = [x + m for x in table[1]]
     parent = [0] * (2 * n)
     pos = [0] * (2 * n)
-    nbrs: list[list[int]] = [[] for _ in range(2 * n)]
     parent[2], pos[2] = 1, 2 * d1[2]
-    nbrs[1], nbrs[2] = [2], [1]
     fresh = n + 1
     for x in range(3, n + 1):
-        dx = dist[x]
-        # the attachment point of x lies on the path from leaf 1 to the leaf
-        # b with the largest Gromov product (x|b) at leaf 1, at that distance
-        best, b = max((d1[x] + d1[b] - dx[b], -b) for b in range(2, x))
+        dx = table[x]
+        # the attachment point of x lies on the path from leaf 1 to the leaf b with
+        # the largest Gromov product (x|b) = (dx[1] + m) + d1[b] - (dx[b] + m) at
+        # leaf 1, at that distance
+        best, b = max((dx[1] + d1[b] - dx[b], -b) for b in range(2, x))
         b = -b
+        # m makes every d pass this guard (each margin is at least 1), but
+        # the walk below needs it: positions rise away from leaf 1 (position
+        # 0), so internal edges are positive and the walk stops by leaf 1;
+        # with best <= 0 it would climb past leaf 1 to vertex 0 forever.
         if not 0 < best < pos[b] or best >= 2 * d1[x]:
             return None
         v = b
@@ -484,22 +489,7 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
             attach, fresh = fresh, fresh + 1
             parent[attach], pos[attach] = u, best
             parent[v] = attach
-            nbrs[u][nbrs[u].index(v)] = nbrs[v][nbrs[v].index(u)] = attach
-            nbrs[attach] = [u, v]
         parent[x], pos[x] = attach, 2 * d1[x]
-        nbrs[attach].append(x)
-        nbrs[x] = [attach]
-        # stop at the first leaf whose distances the tree does not reproduce
-        far = {x: 0}
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            for u in nbrs[v]:
-                if u not in far:
-                    far[u] = far[v] + abs(pos[u] - pos[v])
-                    stack.append(u)
-        if any(far[b] != 2 * dx[b] for b in range(1, x)):
-            return None
 
     children: list[list[int]] = [[] for _ in range(fresh)]
     for v in range(2, fresh):
@@ -541,10 +531,10 @@ def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting
     r = d._realization
     if r is not None:
         return r.tree, r
-    ok, witnesses = is_tropical_point(d)
-    if ok:
+    w = d._violation
+    if w is None:
         raise RuntimeError("leaf insertion failed on a vector that satisfies the four-point condition")
-    raise NotTropicalError(witnesses[0])
+    raise NotTropicalError(w)
 
 
 def cone_of(d: DissimilarityVector) -> LabeledTree:

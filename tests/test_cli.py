@@ -264,6 +264,8 @@ def test_malformed_json_input(capsys, monkeypatch):
         (("trop", "check"), TROPICAL_TSV.replace("3\t4\t2", "3\t4\t\u0662")),
         (("trop", "check"), TROPICAL_JSON.replace('"3,4":"2"', '"3,4":"\u0661/\u0662"')),
         (("trop", "dissim"), ONES_WEIGHTING.replace('"e3-4": "1"', '"e3-4": "\u0661"')),
+        (("trop", "check"), TROPICAL_TSV.replace("3\t4\t2", "3\t4\t1e5000")),
+        (("trop", "reconstruct"), TROPICAL_JSON.replace('"3,4":"2"', '"3,4":"1e5000"')),
         (("trop", "dissim"), '{"a":' * 5000),
         (("trop", "check"), '{"a":' * 5000),
         (("trop", "reconstruct"), '{"a":' * 5000),
@@ -277,6 +279,7 @@ def test_malformed_json_input(capsys, monkeypatch):
         "dissim-vertex-bool", "check-key-plus-sign", "check-key-space", "check-key-underscore",
         "check-key-arabic-indic-digit", "check-tsv-index-plus-sign", "check-tsv-value-arabic-indic-digit",
         "check-value-arabic-indic-digits", "dissim-weight-arabic-indic-digit",
+        "check-tsv-value-past-digit-limit", "reconstruct-value-past-digit-limit",
         "dissim-nested-past-recursion-limit", "check-nested-past-recursion-limit",
         "reconstruct-nested-past-recursion-limit", "matrix-nested-past-recursion-limit",
     ],
@@ -286,6 +289,9 @@ def test_wrong_shape_json_exits_2(capsys, monkeypatch, argv, text):
     code, out, err = run(capsys, *argv, "--tree" if argv[0] == "val" else "--input", "-")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    if "1e5000" in text:
+        # refused where it is read, not when its 5001 digits are written out
+        assert err == "error: not a rational number: '1e5000'\n"
 
 
 @pytest.mark.parametrize(

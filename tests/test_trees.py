@@ -27,7 +27,7 @@ from grasstrop import (
     tree_to_json,
     tree_to_newick,
 )
-from grasstrop.trees import tree_to_json_dict
+from grasstrop.trees import parse_rational, tree_to_json_dict
 from oracles import grown_trivalent_trees, rooted_shape_form, rooted_tables, side_away_from_leaf_1
 from util import caterpillar, grown_tree, random_weighting
 
@@ -480,9 +480,21 @@ def test_newick_rejects_malformed():
     for bad in ("(\u0661,2,(3,4));", "(1,+2,(3,4));", "(1,2,(3,4_0));"):
         with pytest.raises(ValueError, match="leaf labels must be integers"):
             tree_from_newick(bad)
-    for bad in ("(1:\u0661,2:1,3:1);", "(1:1,2:1/0,3:1);", "(1:1,2:x,3:1);"):
+    for bad in ("(1:\u0661,2:1,3:1);", "(1:1,2:1/0,3:1);", "(1:1,2:x,3:1);", "(1:1,2:1e5000,3:1);"):
         with pytest.raises(ValueError, match="bad branch length"):
             tree_from_newick(bad)
+
+
+def test_parse_rational_refuses_more_digits_than_the_int_limit():
+    # sys.get_int_max_str_digits() is 4300 by default; the digits are
+    # judged from the text, before Fraction takes any power of ten
+    assert parse_rational("1e400") == 10**400
+    assert parse_rational(" -0.5e4299 ") == -5 * 10**4298
+    assert parse_rational("1e-4299") == Fraction(1, 10**4299)
+    for bad in ("1e5000", "1e-5000", "0.001e4304", "1" * 4301, "1e10000000"):
+        with pytest.raises(ValueError) as err:
+            parse_rational(bad)
+        assert str(err.value) == f"not a rational number: {bad!r}"
 
 
 def test_parse_edge_order():

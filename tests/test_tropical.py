@@ -157,13 +157,14 @@ def reference_error(d):
     return None
 
 
-def perturbed(rng, d):
-    """d with one pair of a maximal pairing of a random quadruple raised by 1/2."""
-    i, j, k, l = sorted(rng.sample(range(1, d.n + 1), 4))
+def perturbed(rng, d, quad=None, leaf=None):
+    """d with one pair of a maximal pairing of quadruple `quad` (a random one
+    by default) raised by 1/2; with `leaf`, the pair that holds that leaf."""
+    i, j, k, l = quad or sorted(rng.sample(range(1, d.n + 1), 4))
     w = reference_witness(d, (i, j, k, l))
     pairing = (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))[rng.choice(w.attained)]
     vals = d.as_dict()
-    vals[rng.choice(pairing)] += Fraction(1, 2)
+    vals[rng.choice(pairing) if leaf is None else next(p for p in pairing if leaf in p)] += Fraction(1, 2)
     return DissimilarityVector.of(d.n, vals)
 
 
@@ -233,11 +234,13 @@ def test_witness_sums_match_fraction_sums():
 def four_point_corpus():
     """Seeded vectors for the four-point oracle, n = 2..12, accepted and rejected."""
     rng = random.Random(67)
+    raise_rng = random.Random(97)  # a stream of its own, so these vectors shift none of the others
     for n in (2, 3):
         yield DissimilarityVector(n, tuple(random_rational(rng) for _ in range(n * (n - 1) // 2)))
     for n in range(4, 13):
         pairs = n * (n - 1) // 2
         t = grown_tree(rng, n)
+        metrics = []
         for zeros in (False, True):
             # leaf weights of either sign, mixed denominators; with zeros,
             # internal weights 0 contract their edges
@@ -251,6 +254,12 @@ def four_point_corpus():
             yield d
             yield perturbed(rng, d)
             yield DissimilarityVector(n, tuple(d.values))  # without the table dissimilarity hands over
+            metrics.append(d)
+        # the certificate must catch a raised pair wherever it sits: at leaf 1
+        # or 2, in the quadruple the first insertions fix, or at leaf n, the
+        # last leaf inserted
+        yield perturbed(raise_rng, metrics[0], (1, 2, 3, 4), raise_rng.choice((1, 2)))
+        yield perturbed(raise_rng, metrics[1], (*sorted(raise_rng.sample(range(1, n), 3)), n), n)
         # all three sums attained at every quadruple
         yield DissimilarityVector(n, (Fraction(5, 2),) * pairs)
         yield DissimilarityVector(n, (Fraction(-3),) * pairs)

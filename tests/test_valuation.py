@@ -205,17 +205,16 @@ def test_quasi_valuation_weight():
 
 def test_quasi_valuation_weight_scans_a_non_member_once(monkeypatch):
     import grasstrop.tropical as tropical_mod
-    import grasstrop.valuation as valuation_mod
 
-    scan = tropical_mod.is_tropical_point
+    # the integer scan for the first violating quadruple, which names the witness
+    scan = tropical_mod._first_violation
     calls = []
 
     def counted(d):
         calls.append(d)
         return scan(d)
 
-    monkeypatch.setattr(tropical_mod, "is_tropical_point", counted)
-    monkeypatch.setattr(valuation_mod, "is_tropical_point", counted, raising=False)
+    monkeypatch.setattr(tropical_mod, "_first_violation", counted)
     rng = random.Random(59)
     vals = dissimilarity(random_weighting(rng, random_tree(rng, 8))).as_dict()
     # raise one chord of a maximal pairing of 1234: that pairing becomes the unique max
@@ -226,7 +225,7 @@ def test_quasi_valuation_weight_scans_a_non_member_once(monkeypatch):
     with pytest.raises(ValueError) as err:
         quasi_valuation_weight(bad, p(1, 2))
     assert len(calls) == 1
-    _, (w,) = scan(bad)
+    w = scan(bad)
     assert str(err.value) == (
         f"weight vector is not a tropical point ({w.describe()}); "
         "weights outside the tropical variety are not supported"
