@@ -29,6 +29,13 @@ the tropical layer on a 32-leaf tree:
   after the same monomial was straightened with another coefficient, so
   its expansion comes from the memo; checked against the cold result
   and its 91 terms;
+- `straighten-multi-cold` and `straighten-multi-warm`: `straighten` of
+  40 seeded polynomials on 8 labels, 20 of the form relation*g + h and
+  20 random ones of 6 terms of degree 6, so most have several crossing
+  monomials; cold with the memo cleared first, warm right after each
+  input was straightened once.  Each result is checked to be
+  crossing-free, equal to the cold one, and equal to its input on the
+  2x2 minors of a seeded matrix;
 - `rank-valuation-d12`: 300 calls of `rank_valuation` of that product
   on the 8-leaf caterpillar (`enumerate_trivalent(8)[0]`), read along
   its edge ids; one call takes about 0.1 ms, too little to time alone;
@@ -204,6 +211,70 @@ def _straighten_warm_setup():
 def _straighten_warm(arg):
     f, cold = arg
     return gt.straighten(f), cold
+
+
+MULTI_INPUTS = 20
+
+
+def _multi_setup():
+    """Seeded relation*g + h and random 6-term, degree-6 polynomials on 8
+    labels, and their expansions, which leave the memo holding each one."""
+    rng = random.Random(20)
+    pairs = list(combinations(range(1, 9), 2))
+
+    def poly(terms: int, degree: int) -> gt.PlueckerPolynomial:
+        return gt.PlueckerPolynomial(tuple(
+            (
+                gt.PlueckerMonomial.of([rng.choice(pairs) for _ in range(degree)]),
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)),
+            )
+            for _ in range(terms)
+        ))
+
+    inputs = [
+        gt.three_term_relation(*sorted(rng.sample(range(1, 9), 4))) * poly(2, 2) + poly(2, 4)
+        for _ in range(MULTI_INPUTS)
+    ]
+    inputs += [poly(6, 6) for _ in range(MULTI_INPUTS)]
+    gt.plucker._unit_normal_form.cache_clear()
+    return inputs, [gt.straighten(f) for f in inputs]
+
+
+def _multi_cold_setup():
+    arg = _multi_setup()
+    gt.plucker._unit_normal_form.cache_clear()
+    return arg
+
+
+def _straighten_all(arg):
+    inputs, cold = arg
+    return inputs, [gt.straighten(f) for f in inputs], cold
+
+
+def _on_minors(f, mat) -> Fraction:
+    """f with each p[i,j] replaced by the 2x2 minor of columns i, j of mat."""
+    top, bot = mat
+    total = Fraction(0)
+    for m, c in f.terms:
+        for (i, j), e in m.exps:
+            c *= (top[i - 1] * bot[j - 1] - top[j - 1] * bot[i - 1]) ** e
+        total += c
+    return total
+
+
+def _straightened_hold(res) -> bool:
+    """Each expansion equals the cold one, has no two crossing chords in
+    the order 1..8, and takes the input's value on a seeded matrix."""
+    inputs, outs, cold = res
+    rng = random.Random(21)
+    mat = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)) for _ in range(2))
+    for f, g in zip(inputs, outs):
+        for m in g.monomials():
+            if any(a < c < b < d or c < a < d < b for (a, b), (c, d) in combinations(m.support(), 2)):
+                return False
+        if _on_minors(f, mat) != _on_minors(g, mat):
+            return False
+    return outs == cold and len(outs) == 2 * MULTI_INPUTS
 
 
 RANK_VALUATION_CALLS = 300
@@ -699,6 +770,8 @@ CASES = {
         _straighten_warm,
         lambda gc: gc[0] == gc[1] and len(gc[0].terms) == 91,
     ),
+    "straighten-multi-cold": (_multi_cold_setup, _straighten_all, _straightened_hold),
+    "straighten-multi-warm": (_multi_setup, _straighten_all, _straightened_hold),
     "rank-valuation-d12": (
         _rank_valuation_setup,
         _rank_valuation,

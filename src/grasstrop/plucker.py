@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 
 Pair = tuple[int, int]
 Exps = tuple[tuple[Pair, int], ...]  # a monomial's sorted (pair, exponent) items
+Terms = tuple[tuple[Exps, Fraction], ...]
 _T = TypeVar("_T")
 
 
@@ -274,17 +275,28 @@ def _multiply(exps: Exps, drop: tuple[Pair, Pair], add: tuple[Pair, Pair]) -> Ex
     return tuple(sorted((pr, e) for pr, e in out.items() if e))
 
 
-def _worklist(items: Iterable[tuple[Exps, Fraction]], pos: Mapping[int, int]) -> dict[Exps, Fraction]:
-    """Straighten the sum of items into a map from crossing-free monomials to coefficients.
+# 256 entries hold the expansions of all 185 crossing products of 2 to 6
+# of the octagon's four diameters (0.8 MB under tracemalloc), so recurring
+# crossing-heavy products never evict one another.  An entry grows with its
+# crossing part: the perfbench valuations mix (64 hits and 9-13 misses per
+# cycle) fills the memo to 0.9 MB, random 6-term degree-6 polynomials on 8
+# labels fill it to 4.9 MB and 4-term degree-8 ones to 7.3 MB, and memory
+# stays flat however many distinct inputs a process straightens.
+@lru_cache(maxsize=256)
+def _unit_normal_form(items: Terms, order: tuple[int, ...] | None) -> Terms:
+    """The crossing-free expansion of a crossing part scaled to first coefficient 1.
 
-    A worklist over raw exponent tuples.  Crossing-free monomials go
-    straight to the result map and are never looked at again; monomials
-    that still cross sit in a pending map, each with its smallest
-    crossing pair found once when it first appears, and a heap keyed by
-    _desc_key hands out the largest of them.  A heap entry whose
-    monomial has meanwhile cancelled to 0 is skipped when popped.  The
-    map may hold coefficients that cancelled to 0.
+    items are the crossing monomials with their coefficients; order is
+    the circular order as a tuple, or None for 1..n, and holds every
+    label of items (the caller checks).  All items share one worklist
+    run, so the rewrites of different monomials meet and cancel (as for
+    relation*g + h).  Crossing-free monomials go straight to the result;
+    crossing ones wait in a pending map with their smallest crossing
+    pair, found once, and a heap keyed by _desc_key hands out the
+    largest.  A heap entry whose monomial has meanwhile cancelled to 0
+    is skipped.
     """
+    pos = _positions(order, (x for exps, _ in items for pr, _ in exps for x in pr))
     done: dict[Exps, Fraction] = {}
     pending: dict[Exps, Fraction] = {}
     first_crossing: dict[Exps, tuple[Pair, Pair]] = {}
@@ -321,24 +333,7 @@ def _worklist(items: Iterable[tuple[Exps, Fraction]], pos: Mapping[int, int]) ->
         u, v = first_crossing[exps]
         for a, b, sign in _rewrite(u, v):
             add(_multiply(exps, (u, v), (a, b)), coeff if sign > 0 else -coeff)
-    return done
-
-
-# 256 entries hold the expansions of all 185 crossing products of 2 to 6
-# of the octagon's four diameters (0.9 MB under tracemalloc), so the
-# recurring crossing-heavy products never evict one another; a degree-8
-# expansion (at most 91 terms) takes about 12 KB, so even a full memo of
-# those stays near 3 MB, and memory stays flat however many distinct
-# monomials and circular orders a process straightens.
-@lru_cache(maxsize=256)
-def _unit_normal_form(exps: Exps, order: tuple[int, ...] | None) -> tuple[tuple[Exps, Fraction], ...]:
-    """The crossing-free expansion of the monomial exps at coefficient 1.
-
-    order is the circular order as a tuple, or None for 1..n; the caller
-    has already checked that it holds every label of exps.
-    """
-    pos = _positions(order, (x for pr, _ in exps for x in pr))
-    return tuple((e, c) for e, c in _worklist(((exps, Fraction(1)),), pos).items() if c)
+    return tuple((e, c) for e, c in done.items() if c)
 
 
 def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> PlueckerPolynomial:
@@ -348,32 +343,30 @@ def straighten(f: PlueckerPolynomial, order: Sequence[int] | None = None) -> Plu
     monomials without crossing pairs.  The rewrite loop always picks the
     largest remaining monomial (degree, then lexicographic) and its
     smallest crossing pair, which makes intermediate traces deterministic;
-    the final expansion does not depend on this choice.  The loop itself
-    is _worklist.
+    the final expansion does not depend on this choice.
 
-    When exactly one monomial of f crosses, its expansion at coefficient
-    1 comes from a bounded memo keyed by the monomial and the circular
-    order (_unit_normal_form), is scaled by its coefficient and added to
-    f's crossing-free terms, so a recurring crossing-heavy product is
-    rewritten once.  When two or more cross, they share one worklist
-    run, as their rewrites may meet and cancel (as for relation*g + h).
-    The order is checked against f's labels before any lookup.
+    f splits into its crossing-free terms and its crossing part.  The
+    crossing part, divided by its first coefficient, is expanded in one
+    rewrite run by _unit_normal_form, a bounded memo keyed by that part
+    and the circular order; the expansion times that coefficient is
+    added to the crossing-free terms.  So a recurring crossing part, at
+    any scale, is rewritten once.  The order is checked against f's
+    labels before any lookup.
     """
-    labels = {x for m, _ in f.terms for pr in m.support() for x in pr}
-    pos = _positions(order, labels)
-    crossing = [
-        (m.exps, c) for m, c in f.terms if _first_crossing(m.support(), pos) is not None
-    ]
-    if len(crossing) == 1:
-        (exps, c), = crossing
-        done = {m.exps: cc for m, cc in f.terms if m.exps != exps}
-        key = None if order is None else tuple(order)
-        for e, u in _unit_normal_form(exps, key):
-            done[e] = done[e] + c * u if e in done else c * u
-    elif crossing:
-        done = _worklist(((m.exps, c) for m, c in f.terms), pos)
-    else:
+    pos = _positions(order, {x for m, _ in f.terms for pr in m.support() for x in pr})
+    done: dict[Exps, Fraction] = {}
+    crossing: list[tuple[Exps, Fraction]] = []
+    for m, c in f.terms:
+        if _first_crossing(m.support(), pos) is None:
+            done[m.exps] = c
+        else:
+            crossing.append((m.exps, c))
+    if not crossing:
         return f
+    first = crossing[0][1]
+    key = None if order is None else tuple(order)
+    for e, u in _unit_normal_form(tuple((exps, c / first) for exps, c in crossing), key):
+        done[e] = done[e] + first * u if e in done else first * u
     terms = sorted(
         ((exps, c) for exps, c in done.items() if c),
         key=lambda ec: (-sum(e for _, e in ec[0]), ec[0]),

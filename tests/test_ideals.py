@@ -31,7 +31,7 @@ from grasstrop import (
     tropical_weight,
 )
 from grasstrop.ideals import _degree_rows, _toric_generators, signed_incidence_rank
-from util import random_tree, trees_cached
+from util import caterpillar, random_tree, trees_cached
 
 
 def sigma(k):
@@ -176,11 +176,11 @@ def test_hilbert_check_n6():
 
 def test_hilbert_check_guard_and_errors():
     t6 = trees_cached(6)[0]
-    with pytest.raises(ValueError) as err:
-        initial_ideal_hilbert_check(t6, 4)
-    assert "1500" in str(err.value)
-    rep = initial_ideal_hilbert_check(t6, 4, max_monomials=4000)
-    assert rep.passed
+    assert initial_ideal_hilbert_check(t6, 4).passed  # 3060 monomials in degree 4
+    with pytest.raises(ValueError, match=r"^degree 4 has 3060 monomials for n=6, above the limit of 1500$"):
+        initial_ideal_hilbert_check(t6, 4, max_monomials=1500)
+    with pytest.raises(ValueError, match=r"^degree 4 has 194580 monomials for n=10, above the limit of 100000$"):
+        initial_ideal_hilbert_check(caterpillar(10), 4)
     t5 = trees_cached(5)[0]
     nt = contract_edge(t5, t5.internal_edge_ids[0])
     with pytest.raises(ValueError):

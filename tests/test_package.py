@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,3 +157,11 @@ def test_import_loads_no_more_than_its_module(module, loaded):
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == loaded
+
+
+def test_declared_python_floor_has_the_int_digit_limit():
+    # trees.parse_rational reads sys.get_int_max_str_digits, first shipped
+    # in 3.10.7; without it every rational read raises AttributeError
+    floor = re.search(r'^requires-python = ">=([\d.]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)[1]
+    assert tuple(map(int, floor.split("."))) >= (3, 10, 7)
+    assert f"Python {floor} or newer." in (ROOT / "README.md").read_text(encoding="utf-8")

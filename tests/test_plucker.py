@@ -195,7 +195,8 @@ def _monomial_where(rng, n, order, crossing):
 
 
 def _memo_corpus():
-    """Seeded (f, order) pairs: one crossing term of either sign, or several terms."""
+    """Seeded (f, order) pairs: one crossing term of either sign, or several
+    terms, some of which cross."""
     rng = random.Random(31)
     corpus = []
     for n in range(4, 9):
@@ -211,19 +212,43 @@ def _memo_corpus():
             corpus.append((PlueckerPolynomial(tuple(terms)), order))
             g = random_polynomial(rng, n, max_degree=3, max_terms=3)
             corpus.append((three_term_relation(1, 2, 3, 4) * g + g, order))
+    # several crossing monomials, whose rewrites may meet: relation*g + h
+    # with h crossing, and sums of crossing and crossing-free monomials
+    rng = random.Random(41)
+    for n in range(5, 9):
+        for _ in range(6):
+            order = None
+            if rng.random() < 0.5:
+                order = list(range(1, n + 1))
+                rng.shuffle(order)
+            quad = sorted(rng.sample(range(1, n + 1), 4))
+            g = random_polynomial(rng, n, max_degree=2, max_terms=2)
+            h = PlueckerPolynomial(((_monomial_where(rng, n, order, True), Fraction(rng.randint(1, 5), 3)),))
+            corpus.append((three_term_relation(*quad) * g + h, order))
+            terms = [
+                (_monomial_where(rng, n, order, crossing), Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)))
+                for crossing in (True, True, rng.random() < 0.5, False)
+            ]
+            corpus.append((PlueckerPolynomial(tuple(terms)), order))
     return corpus
 
 
 def test_memo_agrees_with_cold_straightening_and_minors():
     rng = random.Random(37)
     signs = set()
+    several = 0
     for f, order in _memo_corpus():
-        crossing = [(m, c) for m, c in f.terms if not is_noncrossing(m, order=order)]
-        if len(crossing) == 1:
-            m, c = crossing[0]
-            signs.add(c > 0)
-            straighten(PlueckerPolynomial(((m, Fraction(7)),)), order=order)  # warm the memo
+        crossing = tuple((m, c) for m, c in f.terms if not is_noncrossing(m, order=order))
+        if crossing:
+            signs.add(crossing[0][1] > 0)
+            several += len(crossing) > 1
+            # warm the memo with the crossing part alone, at another scale
+            straighten(PlueckerPolynomial(crossing).scaled(7), order=order)
+        before = _unit_normal_form.cache_info()
         warm = straighten(f, order=order)
+        after = _unit_normal_form.cache_info()
+        hits = after.hits - before.hits
+        assert (hits, after.misses - before.misses) == (int(bool(crossing)), 0), (f, order)
         _unit_normal_form.cache_clear()
         cold = straighten(f, order=order)
         assert warm == cold, (f, order)
@@ -233,6 +258,7 @@ def test_memo_agrees_with_cold_straightening_and_minors():
             mat = random_matrix(rng, n)
             assert eval_on_minors(warm, mat) == eval_on_minors(f, mat)
     assert signs == {True, False}
+    assert several >= 40
 
 
 def test_memo_keeps_each_circular_order_apart():
@@ -307,3 +333,28 @@ def test_memo_is_bounded_and_hit_by_a_recurring_product():
     after = _unit_normal_form.cache_info()
     assert after.hits == before.hits + 2
     assert after.misses == before.misses
+
+
+def _two_crossing():
+    """Two crossing monomials and a crossing-free one."""
+    return p(1, 3) * p(2, 4) - p(1, 4) * p(2, 5) * p(3, 6).scaled(2) + p(1, 2) * p(3, 4)
+
+
+def test_memo_is_hit_by_a_recurring_multi_term_crossing_part():
+    f = _two_crossing()
+    _unit_normal_form.cache_clear()
+    first = straighten(f)
+    before = _unit_normal_form.cache_info()
+    assert straighten(f) == first
+    after = _unit_normal_form.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_memo_keeps_one_entry_for_f_and_its_multiples():
+    f = _two_crossing()
+    c = Fraction(-3, 4)
+    _unit_normal_form.cache_clear()
+    g = straighten(f)
+    assert straighten(f.scaled(c)) == g.scaled(c)
+    info = _unit_normal_form.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
