@@ -18,9 +18,12 @@ the tropical layer on a 32-leaf tree:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4, from an empty memo of semigroup
-  counts;
+  counts, each quotient checked against the hook-content count;
 - `hilbert-caterpillar8-d3`: the same on the 8-leaf caterpillar,
   degrees 1..3;
+- `hilbert-caterpillar9-d4`: the same on the 9-leaf caterpillar,
+  degrees 1..4, whose 82,251 monomials in degree 4 are the size that
+  the `max_monomials` docstring quotes;
 - `enumerate-n8`: `enumerate_trivalent(8)`, checked to be 10395
   distinct trivalent trees in ascending order of their split keys;
 - `straighten-d12`: `straighten` of (p15 p26 p37 p48)^3, 364 terms,
@@ -171,6 +174,12 @@ def _cold(make):
     return setup
 
 
+def _hook_content(n: int, d: int) -> int:
+    """C(n+d-1,d)C(n+d-2,d)/(d+1), the hook-content dimension of the two-row
+    shape (d, d) with n labels: the degree-d count of every n-leaf tree."""
+    return comb(n + d - 1, d) * comb(n + d - 2, d) // (d + 1)
+
+
 def _hilbert(make_tree, n: int, d: int):
     n_vars = comb(n, 2)
 
@@ -178,7 +187,8 @@ def _hilbert(make_tree, n: int, d: int):
         return gt.initial_ideal_hilbert_check(t, d, max_monomials=comb(n_vars + d - 1, d))
 
     def check(rep):
-        return rep.passed and [row.d for row in rep.degrees] == list(range(1, d + 1))
+        quotients = [(row.d, row.quotient) for row in rep.degrees]
+        return rep.passed and quotients == [(k, _hook_content(n, k)) for k in range(1, d + 1)]
 
     return _cold(make_tree), run, check
 
@@ -725,9 +735,9 @@ def _graded_sweep(trees):
 
 
 def _graded_sweep_holds(rows, n: int = 8) -> bool:
-    """Degree-d counts equal the hook-content dimension C(n+d-1,d)C(n+d-2,d)/(d+1)
-    of the two-row shape (d, d) on every tree, and every Gorenstein check passes."""
-    expect = [comb(n + d - 1, d) * comb(n + d - 2, d) // (d + 1) for d in SWEEP_DEGREES]
+    """Degree-d counts equal the hook-content dimension (see _hook_content) on
+    every tree, and every Gorenstein check passes."""
+    expect = [_hook_content(n, d) for d in SWEEP_DEGREES]
     return len(rows) == gt.double_factorial(2 * n - 5) and all(c == expect and ok is True for c, ok in rows)
 
 
@@ -763,6 +773,7 @@ def _caterpillar_box_count(n: int, m: int) -> int:
 CASES = {
     "hilbert-n6-d4": _hilbert(lambda: gt.enumerate_trivalent(6)[0], 6, 4),
     "hilbert-caterpillar8-d3": _hilbert(lambda: _caterpillar(8), 8, 3),
+    "hilbert-caterpillar9-d4": _hilbert(lambda: _caterpillar(9), 9, 4),
     "enumerate-n8": (lambda: 8, gt.enumerate_trivalent, _enumeration_holds),
     "straighten-d12": (_straighten_cold_setup, gt.straighten, lambda g: len(g.terms) == 364),
     "straighten-d8-warm": (

@@ -10,12 +10,13 @@ dimension check below confirms, degree by degree, that this quotient
 matches the count of semigroup weightings of the tree.
 
 The check needs no elimination.  Every generator is a binomial with
-coefficients +-1, so in degree d the generators times the monomials of
-degree d-2 form the incidence matrix of a signed graph on the degree-d
-monomials.  Its rank, the dimension of the ideal in degree d, is the
-number of monomials minus the number of balanced components, those
-whose cycles all carry sign +1 (Eisenbud-Sturmfels, "Binomial ideals",
-1996).
+coefficients +-1, which `_toric_generators` keeps as its two monomials
+and whether their signs agree.  In degree d the generators times the
+monomials of degree d-2 are then the edges of a signed graph on the
+degree-d monomials.  The rank of its incidence matrix, the dimension of
+the ideal in degree d, is the number of monomials minus the number of
+balanced components, those whose cycles all carry sign +1
+(Eisenbud-Sturmfels, "Binomial ideals", 1996).
 
 A sign caveat: the two surviving terms of a three-term relation carry
 opposite signs exactly when the quartet's split in the tree avoids the
@@ -41,16 +42,9 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 from .plucker import PlueckerMonomial, PlueckerPolynomial
 from .semigroup import graded_count
-from .trees import EdgeId, LabeledTree
+from .trees import EdgeId, LabeledTree, _edge_id_key
 from .tropical import DissimilarityVector, EdgeWeighting, _pair_position, leaf_pairs
 from .valuation import monomial_weight
-
-
-def _edge_key(eid: EdgeId) -> tuple:
-    """Sort key placing leaf edges, in leaf order, before internal edges."""
-    if eid.startswith("l") and eid[1:].isdigit():
-        return (0, int(eid[1:]), eid)
-    return (1, 0, eid)
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ class EdgeMonomial:
             if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
                 raise ValueError(f"exponent of {eid} must be a positive integer")
         object.__setattr__(
-            self, "exps", tuple(sorted(self.exps, key=lambda it: _edge_key(it[0])))
+            self, "exps", tuple(sorted(self.exps, key=lambda it: _edge_id_key(it[0])))
         )
 
     @classmethod
@@ -196,19 +190,18 @@ class HilbertReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def signed_incidence_rank(rows: Iterable[Mapping[Hashable, int]]) -> int:
-    """Rank over the rationals of a matrix whose rows are two entries of +-1.
+def signed_incidence_rank(edges: Iterable[tuple[Hashable, Hashable, bool]]) -> int:
+    """Rank over the rationals of the incidence matrix of a signed graph.
 
-    Such a matrix is the incidence matrix of a signed graph on its
-    columns: the row a*e_u + b*e_v joins u and v with parity 0 when
-    a*b < 0 and parity 1 otherwise.  A kernel vector x has x_v = x_u
-    across a parity-0 edge and x_v = -x_u across a parity-1 edge, so a
-    connected component carries one kernel dimension when it is
-    balanced (every cycle has even parity) and none otherwise.  Hence
-    the rank is the number of columns minus the number of balanced
-    components, where a column met by no row is a balanced component of
-    its own and adds nothing.  A union-find keeps each vertex's parity
-    relative to its root.  Raises RuntimeError on any other row shape.
+    An edge (u, v, same_sign) is the row e_u + e_v (parity 1) when
+    same_sign holds and e_u - e_v (parity 0) otherwise, a binomial with
+    coefficients +-1 up to sign.  A kernel vector x has x_v = x_u across
+    a parity-0 edge and x_v = -x_u across a parity-1 edge, so a component
+    on k columns has rank k - 1 when balanced (every cycle has even
+    parity) and k otherwise.  The rank is thus the number of merges of a
+    union-find, which keeps each vertex's parity relative to its root,
+    plus the number of unbalanced components.  A column met by no edge
+    adds nothing; a loop (u, u, True) is 2 e_u, (u, u, False) the zero row.
     """
     parent: dict[Hashable, Hashable] = {}
     parity: dict[Hashable, int] = {}  # parity of a vertex relative to its parent
@@ -230,31 +223,25 @@ def signed_incidence_rank(rows: Iterable[Mapping[Hashable, int]]) -> int:
             parent[v] = u
         return u, parity[path[0]] if path else 0
 
-    components = 0
-    for row in rows:
-        if len(row) != 2:
-            raise RuntimeError(f"row {dict(row)!r} does not have two entries")
-        (u, a), (v, b) = row.items()
-        if a not in (1, -1) or b not in (1, -1):
-            raise RuntimeError(f"row {dict(row)!r} has an entry other than +-1")
-        components += (u not in parent) + (v not in parent)
+    merges = 0
+    for u, v, same_sign in edges:
         ru, pu = find(u)
         rv, pv = find(v)
-        edge = 0 if a * b < 0 else 1
         if ru == rv:
-            if pu ^ pv != edge:
+            if pu ^ pv != same_sign:
                 unbalanced.add(ru)
             continue
         parent[rv] = ru
-        parity[rv] = pu ^ pv ^ edge
-        components -= 1
+        parity[rv] = pu ^ pv ^ same_sign
+        merges += 1
         if rv in unbalanced:
             unbalanced.discard(rv)
             unbalanced.add(ru)
-    return len(parent) - (components - len(unbalanced))
+    return merges + len(unbalanced)
 
 
-_Binomial = tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]
+# the two monomials of a binomial with coefficients +-1, and whether their signs agree
+_Binomial = tuple[tuple[int, ...], tuple[int, ...], bool]
 
 
 def _toric_generators(t: LabeledTree) -> list[_Binomial]:
@@ -263,10 +250,10 @@ def _toric_generators(t: LabeledTree) -> list[_Binomial]:
     This is `initial_form(three_term_relation(i, j, k, l), d)` for the
     dissimilarity vector d of `internal_indicator(t)`, on integers: d_ij
     is the number of internal edges, those at index n or above in
-    edge_ids, on the path from i to j.  Each binomial is a pair of
-    (monomial, coefficient) terms, a monomial written as the sorted tuple
-    of its variable indices with repetition, where p[i,j] has the index
-    of (i, j) in leaf_pairs(n).
+    edge_ids, on the path from i to j.  Each binomial is (a, b,
+    same_sign): its two monomials, each written as the sorted tuple of
+    its variable indices with repetition, where p[i,j] has the index of
+    (i, j) in leaf_pairs(n), and whether their coefficients agree.
     """
     n = t.n
     w = [sum(k >= n for k in t._path(i, j)) for i, j in leaf_pairs(n)]
@@ -279,15 +266,16 @@ def _toric_generators(t: LabeledTree) -> list[_Binomial]:
         kept = tuple(term for term in terms if w[term[0][0]] + w[term[0][1]] == top)
         if len(kept) != 2:
             raise RuntimeError(f"quartet {quad} did not degenerate to a binomial")
-        gens.append(kept)
+        (a, ca), (b, cb) = kept
+        gens.append((a, b, ca == cb))
     return gens
 
 
-def _degree_rows(gens: list[_Binomial], n_vars: int, d: int) -> Iterator[dict[tuple[int, ...], int]]:
-    """The rows shift * g spanning the degree-d part of the ideal, d >= 2."""
+def _degree_rows(gens: list[_Binomial], n_vars: int, d: int) -> Iterator[_Binomial]:
+    """The edges shift * g spanning the degree-d part of the ideal, d >= 2."""
     for shift in combinations_with_replacement(range(n_vars), d - 2):
-        for (a, ca), (b, cb) in gens:
-            yield {tuple(sorted(a + shift)): ca, tuple(sorted(b + shift)): cb}
+        for a, b, same_sign in gens:
+            yield tuple(sorted(a + shift)), tuple(sorted(b + shift)), same_sign
 
 
 def initial_ideal_hilbert_check(
@@ -299,8 +287,8 @@ def initial_ideal_hilbert_check(
     all quadruples, taken with respect to the dissimilarity vector of
     the internal-edge indicator weighting.  Each is a binomial with
     coefficients +-1, so for each degree d up to d_max the products of
-    the generators with degree-(d-2) monomials form the incidence matrix
-    of a signed graph on the degree-d monomials, and the dimension of
+    the generators with degree-(d-2) monomials are the edges of a signed
+    graph on the degree-d monomials, and the dimension of
     their span is the number of monomials minus the number of balanced
     components (`signed_incidence_rank`).  The codimension of the span
     inside the full degree-d monomial space is compared with the number
@@ -317,15 +305,18 @@ def initial_ideal_hilbert_check(
         raise ValueError("d_max must be at least 1")
     n = t.n
     n_vars = n * (n - 1) // 2
-    gens = _toric_generators(t)
-    checks = []
+    # refuse the first degree past the limit before any work
+    counts = []
     for d in range(1, d_max + 1):
-        count = comb(n_vars + d - 1, d)
-        if count > max_monomials:
+        counts.append(comb(n_vars + d - 1, d))
+        if counts[-1] > max_monomials:
             raise ValueError(
-                f"degree {d} has {count} monomials for n={n}, "
+                f"degree {d} has {counts[-1]} monomials for n={n}, "
                 f"above the limit of {max_monomials}"
             )
+    gens = _toric_generators(t)
+    checks = []
+    for d, count in enumerate(counts, start=1):
         rank = signed_incidence_rank(_degree_rows(gens, n_vars, d)) if d >= 2 else 0
         checks.append(
             DegreeCheck(

@@ -50,10 +50,6 @@ def pieri_dim(i: int, j: int, k: int) -> int:
     return 1 if _first_violation(((0, 1, 2),), (i, j, k)) is None else 0
 
 
-# Only trees that are not trivalent fold here, all their stars included; a
-# trivalent tree is read off the vertex rule.  The bound keeps memory flat
-# however many weights a process tests.
-@lru_cache(maxsize=1024)
 def _tensor_invariant_dim(vals: tuple[int, ...]) -> int:
     """Invariant dimension of V(a1) (x) ... (x) V(ak), by Clebsch-Gordan folding."""
     if not vals:

@@ -34,7 +34,7 @@ cherries hang off one central vertex path, the splits {1,2}|{3,4,5,6} and
 Edge ids, edge orders and leaf/internal status are resolved only here:
 other modules ask `LabeledTree` for the position of an id or of each id
 of an edge order, and an edge is internal exactly when its position is n
-or more.
+or more.  With no tree at hand, `_edge_id_key` sorts ids alone.
 """
 
 from __future__ import annotations
@@ -587,6 +587,13 @@ def _leaf_index(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"leaf labels must be integers, got {text!r}")
     return int(text)
+
+
+def _edge_id_key(eid: EdgeId) -> tuple:
+    """Sort key placing leaf edges, in leaf order, before internal edges."""
+    if eid.startswith("l") and eid[1:].isdigit():
+        return (0, int(eid[1:]), eid)
+    return (1, 0, eid)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -8,6 +8,10 @@ is a tropical point when for every four leaves i<j<k<l the maximum of
 is attained at least twice.  These are exactly the vectors realized by a
 tree with nonnegative internal edge weights (leaf weights may be any
 rational): d_ij is the total weight along the path from i to j.
+
+Leaf insertion proposes such a tree for any vector in O(n^2).  The vector
+is a tropical point exactly when the tree's integer path sums reproduce it;
+otherwise a scan names the first quadruple with a unique maximum.
 """
 
 from __future__ import annotations
@@ -170,12 +174,10 @@ class DissimilarityVector:
     @cached_property
     def _realization(self) -> "EdgeWeighting | None":
         """The minimal tree realization of self, or None if self has none.
-        Leaf insertion proposes it, and the one acceptance test, which
-        certifies the four-point condition, is that its path sums equal
-        self on every pair: got[i][j] / den_r == table[i][j] / den."""
+        Leaf insertion proposes it for every vector, and the one acceptance
+        test, which certifies the four-point condition, is that its path
+        sums equal self on every pair: got[i][j] / den_r == table[i][j] / den."""
         r = _insert_leaves(self)
-        if r is None:
-            return None
         got, den_r = _path_sums(r)
         table, den = self._table
         if all([x * den for x in g] == [y * den_r for y in row] for g, row in zip(got, table)):
@@ -443,13 +445,12 @@ def dissimilarity(r: EdgeWeighting) -> DissimilarityVector:
 # Reconstruction
 
 
-def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
+def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting:
     """Build a weighted tree leaf by leaf from Gromov products.
 
-    Returns None only when a Gromov product fails the structural guard
-    below; otherwise it always proposes a candidate, which the caller
-    accepts only if its path sums reproduce d (see _realization).  Its tree
-    comes from the insertion's own parent links (see _canonical_form).
+    Every vector gets a candidate, which the caller accepts only if its
+    path sums reproduce d (see _realization).  Its tree comes from the
+    insertion's own parent links (see _canonical_form).
     """
     table, den = d._table
     n = d.n
@@ -472,12 +473,13 @@ def _insert_leaves(d: DissimilarityVector) -> EdgeWeighting | None:
         # leaf 1, at that distance
         best, b = max((dx[1] + d1[b] - dx[b], -b) for b in range(2, x))
         b = -b
-        # m makes every d pass this guard (each margin is at least 1), but
-        # the walk below needs it: positions rise away from leaf 1 (position
-        # 0), so internal edges are positive and the walk stops by leaf 1;
-        # with best <= 0 it would climb past leaf 1 to vertex 0 forever.
-        if not 0 < best < pos[b] or best >= 2 * d1[x]:
-            return None
+        # No guard is needed: with D = den * d, so that |D| <= (m - 1) / 3,
+        # each margin below is three entries of D plus m, so at least 1:
+        #   best             = D[x][1] + D[1][b] - D[x][b] + m,
+        #   pos[b] - best    = D[1][b] + D[x][b] - D[x][1] + m,
+        #   2 * d1[x] - best = D[1][x] - D[1][b] + D[x][b] + m.
+        # So x attaches strictly between leaf 1 (position 0) and b, short of
+        # its own position: every edge is positive, and the walk stops by leaf 1.
         v = b
         while pos[parent[v]] > best:
             v = parent[v]
@@ -533,7 +535,7 @@ def reconstruct_tree(d: DissimilarityVector) -> tuple[LabeledTree, EdgeWeighting
         return r.tree, r
     w = d._violation
     if w is None:
-        raise RuntimeError("leaf insertion failed on a vector that satisfies the four-point condition")
+        raise RuntimeError("the realization certificate failed, yet no quadruple violates the four-point condition")
     raise NotTropicalError(w)
 
 

@@ -1,11 +1,7 @@
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -30,6 +26,7 @@ from grasstrop import (
     toric_kernel_membership,
     tropical_weight,
 )
+import grasstrop.ideals as ideals_mod
 from grasstrop.ideals import _degree_rows, _toric_generators, signed_incidence_rank
 from util import caterpillar, random_tree, trees_cached
 
@@ -139,8 +136,11 @@ def test_crossing_binomial_membership_dichotomy():
                 g = initial_form(three_term_relation(*quad), dv)
                 assert len(g.terms) == 2, (n, quad)
                 # the integer generators of the Hilbert check are these binomials
-                assert gen == tuple(
-                    (tuple(index[pr] for pr in m.expanded()), int(c)) for m, c in g.terms
+                (ma, ca), (mb, cb) = g.terms
+                assert gen == (
+                    tuple(index[pr] for pr in ma.expanded()),
+                    tuple(index[pr] for pr in mb.expanded()),
+                    ca == cb,
                 ), (n, quad)
                 kept = {frozenset(pr for pr, _ in m.exps) for m, _ in g.terms}
                 assert kept == set(sums) - set(split), (n, quad)
@@ -187,6 +187,30 @@ def test_hilbert_check_guard_and_errors():
         initial_ideal_hilbert_check(nt, 2)
     with pytest.raises(ValueError):
         initial_ideal_hilbert_check(sigma(1), 0)
+
+
+def test_hilbert_check_refuses_before_any_work(monkeypatch):
+    # degree 7 of the 6-leaf caterpillar has 116,280 monomials; degrees 1..6
+    # fit, and none of them is computed before the refusal
+    calls = []
+
+    def count(name):
+        original = getattr(ideals_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ideals_mod, name, wrapper)
+
+    for name in ("_toric_generators", "_degree_rows", "graded_count"):
+        count(name)
+    with pytest.raises(ValueError, match=r"^degree 7 has 116280 monomials for n=6, above the limit of 100000$"):
+        initial_ideal_hilbert_check(caterpillar(6), 7)
+    assert calls == []
+    # the same counters do see a check that runs
+    initial_ideal_hilbert_check(caterpillar(6), 2)
+    assert calls == ["_toric_generators", "graded_count", "_degree_rows", "graded_count"]
 
 
 def test_internal_indicator():
@@ -241,6 +265,17 @@ def test_exact_rank_random_vs_float():
         assert exact_rank(rows) <= rank
 
 
+def _rows(edges):
+    """The incidence rows of signed-graph edges (u, v, same_sign), for exact_rank:
+    e_u + e_v or e_u - e_v, so a loop gives 2 e_u or the zero row."""
+    rows = []
+    for u, v, same_sign in edges:
+        row = {u: 1}
+        row[v] = row.get(v, 0) + (1 if same_sign else -1)
+        rows.append({k: x for k, x in row.items() if x})
+    return rows
+
+
 def _int_columns(rows):
     cols = {}
     return [{cols.setdefault(k, len(cols)): v for k, v in row.items()} for row in rows]
@@ -252,65 +287,48 @@ def test_signed_incidence_rank_matches_exact_rank_on_hilbert_rows():
         n_vars = t.n * (t.n - 1) // 2
         gens = _toric_generators(t)
         for d in range(2, d_max + 1):
-            rows = list(_degree_rows(gens, n_vars, d))
-            assert signed_incidence_rank(rows) == exact_rank(_int_columns(rows)), (t, d)
+            edges = list(_degree_rows(gens, n_vars, d))
+            assert signed_incidence_rank(edges) == exact_rank(_int_columns(_rows(edges))), (t, d)
 
 
 def test_signed_incidence_rank_hand_built_graphs():
     cases = [
-        # balanced cycles: even number of same-sign rows around the triangle
-        ([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}], 2),
-        ([{0: 1, 1: 1}, {1: -1, 2: -1}, {0: 1, 2: -1}], 2),
+        # balanced cycles: an even number of same-sign edges around the triangle
+        ([(0, 1, False), (1, 2, False), (0, 2, False)], 2),
+        ([(0, 1, True), (1, 2, True), (0, 2, False)], 2),
         # unbalanced cycles: an odd number of them
-        ([{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: -1}], 3),
-        ([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: -1, 0: -1}], 3),
-        # a repeated edge, with either overall sign, changes nothing
-        ([{0: 1, 1: -1}, {0: -1, 1: 1}, {1: 1, 0: -1}], 1),
+        ([(0, 1, True), (1, 2, False), (0, 2, False)], 3),
+        ([(0, 1, True), (1, 2, True), (2, 0, True)], 3),
+        # a repeated edge, either way round, changes nothing
+        ([(0, 1, False), (1, 0, False), (0, 1, False)], 1),
         # a repeated edge of the other parity is an unbalanced 2-cycle
-        ([{0: 1, 1: -1}, {0: 1, 1: 1}], 2),
-        # columns 2..9 met by no row are balanced singletons: rank 1 of 10
-        ([{0: 1, 1: -1}], 1),
+        ([(0, 1, False), (0, 1, True)], 2),
+        # columns 2..9 met by no edge are balanced singletons: rank 1 of 10
+        ([(0, 1, False)], 1),
         # an unbalanced component joined to a balanced one, from either side
-        ([{0: 1, 1: 1}, {0: 1, 1: -1}, {2: 1, 3: -1}, {1: 1, 2: 1}], 4),
-        ([{0: 1, 1: 1}, {0: 1, 1: -1}, {2: 1, 3: -1}, {2: 1, 1: 1}], 4),
+        ([(0, 1, True), (0, 1, False), (2, 3, False), (1, 2, True)], 4),
+        ([(0, 1, True), (0, 1, False), (2, 3, False), (2, 1, True)], 4),
         # two balanced components, then a path of four vertices
-        ([{0: 1, 1: 1}, {2: 1, 3: 1}], 2),
-        ([{0: 1, 1: 1}, {2: 1, 3: 1}, {1: -1, 2: 1}], 3),
+        ([(0, 1, True), (2, 3, True)], 2),
+        ([(0, 1, True), (2, 3, True), (1, 2, False)], 3),
+        # a loop is the row 2 e_u, an odd cycle, or the zero row
+        ([(0, 0, True)], 1),
+        ([(0, 0, False)], 0),
+        ([(0, 1, False), (1, 1, True)], 2),
+        ([(0, 1, False), (1, 1, False)], 1),
         ([], 0),
     ]
-    for rows, rank in cases:
-        assert signed_incidence_rank(rows) == rank, rows
-        assert exact_rank(rows) == rank, rows
+    for edges, rank in cases:
+        assert signed_incidence_rank(edges) == rank, edges
+        assert exact_rank(_rows(edges)) == rank, edges
 
 
 def test_signed_incidence_rank_random_signed_graphs():
     rng = random.Random(23)
     for _ in range(300):
         n_vertices = rng.randint(2, 9)
-        rows = []
-        for _ in range(rng.randint(0, 12)):
-            u, v = rng.sample(range(n_vertices), 2)
-            rows.append({u: rng.choice((1, -1)), v: rng.choice((1, -1))})
-        assert signed_incidence_rank(rows) == exact_rank(rows), rows
-
-
-def test_signed_incidence_rank_refuses_other_rows_in_optimized_mode():
-    # python -O strips assert statements; a row that is not a +-1 binomial
-    # must still raise RuntimeError
-    code = (
-        "from grasstrop.ideals import signed_incidence_rank\n"
-        "bad = [{}, {0: 1}, {0: 1, 1: 1, 2: -1}, {0: 2, 1: 1}, {0: 1, 1: 0}, {0: 1, 1: -3}]\n"
-        "for row in bad:\n"
-        "    try:\n"
-        "        signed_incidence_rank([{5: 1, 6: -1}, row])\n"
-        "    except RuntimeError:\n"
-        "        continue\n"
-        "    raise SystemExit(f'no RuntimeError on {row}')\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, (flags, proc.stderr + proc.stdout)
+        edges = [
+            (rng.randrange(n_vertices), rng.randrange(n_vertices), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 12))
+        ]
+        assert signed_incidence_rank(edges) == exact_rank(_rows(edges)), edges

@@ -32,7 +32,6 @@ from oracles import (
     side_away_from_leaf_1,
 )
 from grasstrop import semigroup
-from grasstrop.semigroup import _tensor_invariant_dim
 from util import caterpillar, grown_tree, random_tree, trees_cached
 
 
@@ -337,16 +336,6 @@ def test_sigma_weight_validation_and_json():
             SigmaWeight.from_json_dict(bad)
     assert (s + s).value("e3-4") == 6
     assert s.scaled(3).value("l1") == 6
-
-
-def test_invariant_dim_cache_stays_bounded():
-    # trivalent trees never fold, so contract an edge to get a degree-4 vertex
-    t = contract_edge(trees_cached(6)[0], trees_cached(6)[0].internal_edge_ids[0])
-    rng = random.Random(47)
-    for _ in range(2000):
-        invariant_dim(t, SigmaWeight(t, tuple(2 * rng.randint(0, 30) for _ in t.edge_ids)))
-    info = _tensor_invariant_dim.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def _memo_counts(t):

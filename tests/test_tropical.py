@@ -386,13 +386,60 @@ def test_lazy_witnesses_read_like_a_tuple():
     assert not bad[0] and type(bad[1]) is tuple and len(bad[1]) == 1
 
 
-def test_failed_insertion_leaves_the_verdict_to_the_scan(monkeypatch):
-    monkeypatch.setattr(tropical_mod, "_insert_leaves", lambda d: None)
+def adversarial_corpus(n, rng):
+    """Vectors on n leaves built to stress insertion's integer positions:
+    all zero, all equal, entries of +-10^30 next to 1/7, and a leaf-1 row far
+    above or below the rest, each as a tree metric and as a mixed vector."""
+    pairs = n * (n - 1) // 2
+    big, small = Fraction(10**30), Fraction(1, 7)
+    t = grown_tree(rng, n)
+    yield DissimilarityVector(n, (Fraction(0),) * pairs)
+    for c in (small, -big, big):
+        yield DissimilarityVector(n, (c,) * pairs)
+    for leaf_one in (big, -big, small):
+        weights = {eid: rng.choice((big, -big, small)) if eid[0] == "l" else small for eid in t.edge_ids}
+        weights["l1"] = leaf_one
+        yield dissimilarity(EdgeWeighting.of(t, weights))
+    yield DissimilarityVector(n, tuple(rng.choice((big, -big, small, -small)) for _ in range(pairs)))
+    for row_one in (big, -big):
+        pair_order = itertools.combinations(range(1, n + 1), 2)
+        yield DissimilarityVector(n, tuple(row_one if i == 1 else random_rational(rng) for i, _ in pair_order))
+
+
+def test_leaf_insertion_is_total_on_an_adversarial_corpus():
+    # every vector gets a candidate; an accepted one is reproduced by it, and
+    # the verdicts are the oracle's: in full up to 12 leaves, past that on
+    # the rejected vectors, where the oracle stops at the first violation
+    rng = random.Random(109)
+    accepted = rejected = 0
+    for n in range(3, 41):
+        for d in adversarial_corpus(n, rng):
+            r = tropical_mod._insert_leaves(d)
+            assert isinstance(r, EdgeWeighting) and r.tree.n == n, d
+            ok, witnesses = is_tropical_point(d)
+            if ok:
+                accepted += 1
+                assert dissimilarity(d._realization) == d, d
+            else:
+                rejected += 1
+            if n <= 12 or not ok:
+                assert (ok, [(w.quad, w.sums, w.attained) for w in witnesses]) == four_point(d), d
+    # the zero, all-equal and tree-metric vectors (seven per n) pass, the
+    # three mixed ones fail, and on three leaves every vector passes
+    assert (accepted, rejected) == (7 * 37 + 10, 3 * 37)
+
+
+def test_a_wrong_candidate_leaves_the_verdict_to_the_scan(monkeypatch):
+    # a candidate that misses a tropical d certifies nothing: the scan accepts
+    # d, and reconstruction has no realization to return
     rng = random.Random(83)
     d = dissimilarity(random_weighting(rng, grown_tree(rng, 8)))
+    wrong = random_weighting(rng, grown_tree(rng, 8))
+    assert dissimilarity(wrong) != d
+    monkeypatch.setattr(tropical_mod, "_insert_leaves", lambda d: wrong)
     ref = tuple(reference_witness(d, q) for q in itertools.combinations(range(1, 9), 4))
     assert is_tropical_point(d) == (True, ref)
-    with pytest.raises(RuntimeError, match="leaf insertion failed"):
+    with pytest.raises(RuntimeError, match="^the realization certificate failed, yet no quadruple violates"):
         reconstruct_tree(d)
     bad = perturbed(rng, d)
     assert is_tropical_point(bad) == four_point_verdict(bad)
