@@ -12,9 +12,10 @@ input afresh (untimed), then times its library calls with
 median, together with the Python version, the commit
 and a check of each result, so that a wrong answer cannot pass as a
 fast one.  The cases are the stress cases of ROADMAP.md's baseline,
-two valuation cases, a box of decompositions, the Gorenstein check of
-the acceptance test, two cases of graded counts, the per-tree tables and
-the tropical layer on a 32-leaf tree:
+two valuation cases, a box of decompositions, perfbench's box op through
+the library, the Gorenstein check of the acceptance test, two cases of
+graded counts, the per-tree tables and the tropical layer on a 32-leaf
+tree:
 
 - `hilbert-n6-d4`: `initial_ideal_hilbert_check` on the first trivalent
   tree with 6 leaves, degrees 1..4, from an empty memo of semigroup
@@ -50,6 +51,13 @@ the tropical layer on a 32-leaf tree:
   with every edge value at most 2 on a seeded 6-leaf tree, checked to
   sum back to the weight and to be crossing-free in the planar leaf
   order;
+- `box-sweep-n5-m2`: the library path of perfbench's box op on each of
+  the 2187 weights with every edge value at most 2 on a seeded 5-leaf
+  tree: `SigmaWeight`, `in_semigroup`, `invariant_dim`, `decompose` of
+  each member, then `graded_count(t, box_bound=2)`.  Membership and
+  invariant dimension are checked against the vertex rule read from the
+  adjacency, the decompositions as in `decompose-box`, and the number of
+  members against the count;
 - `gorenstein-n4-6`: `gorenstein_witness_check` on each of the 123
   trivalent trees with 4, 5 or 6 leaves, each checked True, from an
   empty memo of counts;
@@ -715,6 +723,43 @@ def _decompositions_hold(res) -> bool:
     return len(out) == gt.graded_count(t, box_bound=2)
 
 
+def _box_sweep_setup():
+    """The tree of seed 5 on 5 leaves and every weight with all edge values
+    at most 2 on it."""
+    t = _random_tree(random.Random(5), 5)
+    return t, list(product(range(3), repeat=len(t.edge_ids)))
+
+
+def _box_sweep(arg):
+    """Build, test, split and count every weight of the box, as perfbench's
+    box op does through the library."""
+    t, points = arg
+    rows = []
+    for vec in points:
+        s = gt.SigmaWeight(t, vec)
+        member = gt.in_semigroup(t, s)
+        rows.append((s, member, gt.invariant_dim(t, s), gt.decompose(t, s) if member else None))
+    return t, rows, gt.graded_count(t, box_bound=2)
+
+
+def _box_sweep_holds(res) -> bool:
+    """Membership and invariant dimension agree with the vertex rule read
+    from the adjacency, every member splits as _decompositions_hold asks,
+    and the members number the box count."""
+    t, rows, count = res
+    index = {eid: k for k, eid in enumerate(t.edge_ids)}
+    stars = [[index[t.edge_id_of(v, w)] for w in t.adjacency[v]] for v in t.internal_vertices]
+    members = []
+    for s, member, inv, pairs in rows:
+        triples = ([s.values[k] for k in star] for star in stars)
+        ok = all((a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b for a, b, c in triples)
+        if member != ok or inv != int(ok) or (pairs is None) == ok:
+            return False
+        if ok:
+            members.append((s, pairs))
+    return len(rows) == 3 ** len(t.edge_ids) and len(members) == count and _decompositions_hold((t, members))
+
+
 def _gorenstein_trees():
     """Each tree with 4, 5 or 6 leaves."""
     return [t for n in (4, 5, 6) for t in gt.enumerate_trivalent(n)]
@@ -790,6 +835,7 @@ CASES = {
     ),
     "axioms-n8": (_axioms_setup, _axioms, _axioms_hold),
     "decompose-box": (_box_members, _decompose_box, _decompositions_hold),
+    "box-sweep-n5-m2": (_box_sweep_setup, _box_sweep, _box_sweep_holds),
     "gorenstein-n4-6": (
         _cold(_gorenstein_trees),
         _gorenstein,

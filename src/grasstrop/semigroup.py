@@ -7,7 +7,9 @@ every vertex form the semigroup of the tree.  Path indicator weights
 omega(i, j) generate it, and each weight is the sum of exactly one
 multiset of leaf pairs that is crossing-free in the tree's planar leaf
 order, which `decompose` finds by matching strands in one pass from the
-leaves to leaf 1.
+leaves to leaf 1.  The vertex rule is written once, in `_first_violation`,
+and each weight on a trivalent tree runs it at most once: `in_semigroup`,
+`invariant_dim` and `decompose` all read the verdict the weight keeps.
 
 Graded, box and interior counts depend only on the tree's shape rooted at
 leaf 1.  They run one table walk over that shape, one step per vertex
@@ -70,15 +72,27 @@ class SigmaWeight:
 
     tree: LabeledTree
     values: tuple[int, ...]
+    _bad_star = -1  # not a field: the verdict of _violation, -1 until it is kept
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.tree.edge_ids):
-            raise ValueError(
-                f"expected {len(self.tree.edge_ids)} values, got {len(self.values)}"
-            )
-        for eid, v in zip(self.tree.edge_ids, self.values):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"edge {eid}: weight must be a nonnegative integer, got {v!r}")
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != len(self.tree.edge_ids):
+            raise ValueError(f"expected {len(self.tree.edge_ids)} values, got {len(values)}")
+        for v in values:
+            if type(v) is not int or v < 0:  # then name the edge, or pass an int subclass
+                for eid, w in zip(self.tree.edge_ids, values):
+                    if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                        raise ValueError(f"edge {eid}: weight must be a nonnegative integer, got {w!r}")
+                break
+
+    def _violation(self) -> int | None:
+        """_first_violation on the stars of a trivalent tree, run once and kept."""
+        bad = self._bad_star
+        if bad == -1:
+            bad = _first_violation(self.tree._stars, self.values)
+            object.__setattr__(self, "_bad_star", bad)
+        return bad
 
     @classmethod
     def of(cls, tree: LabeledTree, values: Mapping[EdgeId, int]) -> "SigmaWeight":
@@ -121,19 +135,25 @@ class SigmaWeight:
         return cls.of(tree, {str(k): _json_integer(v, f"weight of {k}") for k, v in raw.items()})
 
 
+def _check_tree(t: LabeledTree, s: SigmaWeight) -> None:
+    """Refuse a weight on another tree, comparing only distinct objects."""
+    if s.tree is not t and s.tree != t:
+        raise ValueError("weight does not live on this tree")
+
+
 def invariant_dim(t: LabeledTree, s: SigmaWeight) -> int:
     """Product over internal vertices of local tensor invariant dimensions.
 
     On a trivalent tree every factor is pieri_dim, so the product is 1 for
-    a semigroup element and 0 otherwise; higher degrees fold by
+    a semigroup element and 0 otherwise, read from the verdict the weight
+    keeps (see SigmaWeight._violation); higher degrees fold by
     Clebsch-Gordan.
     """
-    if s.tree != t:
-        raise ValueError("weight does not live on this tree")
-    vals = s.values
+    _check_tree(t, s)
     if t.is_trivalent:
         # each local factor is pieri_dim, 0 or 1
-        return int(_first_violation(t._stars, vals) is None)
+        return int(s._violation() is None)
+    vals = s.values
     out = 1
     for star in t._stars:
         out *= _tensor_invariant_dim(tuple(sorted(vals[k] for k in star)))
@@ -143,12 +163,12 @@ def invariant_dim(t: LabeledTree, s: SigmaWeight) -> int:
 
 
 def in_semigroup(t: LabeledTree, s: SigmaWeight) -> bool:
-    """Parity and triangle test at every internal vertex (trivalent trees)."""
+    """Parity and triangle test at every internal vertex (trivalent trees),
+    run once per weight (see SigmaWeight._violation)."""
     if not t.is_trivalent:
         raise ValueError("semigroup membership is defined for trivalent trees")
-    if s.tree != t:
-        raise ValueError("weight does not live on this tree")
-    return _first_violation(t._stars, s.values) is None
+    _check_tree(t, s)
+    return s._violation() is None
 
 
 def omega(t: LabeledTree, i: int, j: int) -> SigmaWeight:
@@ -167,6 +187,13 @@ class PairMultiset:
             if i >= j:
                 raise ValueError(f"pairs must be increasing, got ({i}, {j})")
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+
+    @classmethod
+    def _from_increasing(cls, pairs: list[tuple[int, int]]) -> PairMultiset:
+        """Sorts pairs known to be increasing, without __post_init__'s check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "pairs", tuple(sorted(pairs)))
+        return out
 
     def counts(self) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
@@ -196,39 +223,45 @@ def decompose(t: LabeledTree, s: SigmaWeight) -> PairMultiset:
     with the first ones of the right child, and the rest go up; the strands
     that reach leaf 1's edge end at leaf 1.  Each closed strand is one leaf
     pair.  The result sums back to s and is crossing-free in the planar
-    leaf order of the tree.
+    leaf order of the tree.  A weight outside the semigroup is refused from
+    the verdict it keeps (see SigmaWeight._violation).
     """
     if not t.is_trivalent:
         raise ValueError("decomposition is defined for trivalent trees")
-    if s.tree != t:
-        raise ValueError("weight does not live on this tree")
-    bad = _first_violation(t._stars, s.values)
+    _check_tree(t, s)
+    bad = s._violation()
     if bad is not None:
         vals = tuple(s.values[k] for k in t._stars[bad])
         raise ValueError(
             f"weight is not in the semigroup: vertex {t.internal_vertices[bad]} "
             f"sees values {vals} (odd sum or triangle inequality fails)"
         )
-    children, values, up = t._children, s.values, t._parent_edge
-    # child vertex of an edge -> the lower ends of the edge's strands
-    ends: dict[int, list[int]] = {}
+    children, values, up, n = t._children, s.values, t._parent_edge, t.n
+    # per vertex: the lower ends of the strands of the edge to its parent
+    ends: list[list[int]] = [[]] * len(up)
     pairs: list[tuple[int, int]] = []
     # the preorder backwards lists every vertex after all vertices below it
     for v in t._pre[:0:-1]:
-        if v <= t.n:
-            ends[v] = [v] * values[up[v]]
+        a = values[up[v]]
+        if v <= n:
+            ends[v] = [v] * a
             continue
         left, right = children[v]
-        b, c = ends.pop(left), ends.pop(right)
-        # (a+b-c)/2 strands of the left child go up, the rest close up
-        keep = (values[up[v]] + len(b) - len(c)) // 2
-        pairs += ((i, j) if i < j else (j, i) for i, j in zip(reversed(b[keep:]), c))
-        ends[v] = b[:keep] + c[len(b) - keep :]
-    pairs += ((1, j) for j in ends[t._pre[1]])
-    out = PairMultiset(tuple(pairs))
-    if tuple(t._edge_counts(out.counts().items())) != s.values:
+        b, c = ends[left], ends[right]
+        # the last `close` strands of b meet the first ones of c, innermost first
+        close = (len(b) + len(c) - a) // 2
+        for k in range(close):
+            i, j = b[-1 - k], c[k]
+            pairs.append((i, j) if i < j else (j, i))
+        ends[v] = b[: len(b) - close] + c[close:]
+    pairs += [(1, j) for j in ends[t._pre[1]]]
+    back = [0] * len(values)
+    for i, j in pairs:
+        for k in t._path(i, j):
+            back[k] += 1
+    if tuple(back) != values:
         raise RuntimeError("strand decomposition does not sum back to the weight")
-    return out
+    return PairMultiset._from_increasing(pairs)
 
 
 def _table_walk(

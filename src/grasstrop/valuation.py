@@ -60,9 +60,12 @@ class ValueVector:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self.tree._order_positions(self.order)
-        if len(self.values) != len(self.order):
-            raise ValueError(f"expected {len(self.order)} entries, got {len(self.values)}")
+        order, values = tuple(self.order), tuple(self.values)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "values", values)
+        self.tree._order_positions(order)
+        if len(values) != len(order):
+            raise ValueError(f"expected {len(order)} entries, got {len(values)}")
 
     @property
     def v(self) -> dict[EdgeId, int]:

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from array import array
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from grasstrop import (
     pieri_dim,
 )
 from oracles import (
+    _stars,
     _vertex_ok,
     achievable_weights,
     brute_force_box_count,
@@ -107,6 +112,100 @@ def test_in_semigroup_matches_invariant_dim():
         for vec in product(range(4), repeat=5):
             s = s_of(t, dict(zip(t.edge_ids, vec)))
             assert in_semigroup(t, s) == (invariant_dim(t, s) >= 1)
+
+
+def _decompose_verdict(t, s):
+    """True when decompose splits s, else the text of its refusal."""
+    try:
+        decompose(t, s)
+    except ValueError as exc:
+        return str(exc)
+    return True
+
+
+VERDICTS = {
+    "in_semigroup": in_semigroup,
+    "invariant_dim": lambda t, s: bool(invariant_dim(t, s)),
+    "decompose": _decompose_verdict,
+}
+CALL_ORDERS = list(permutations(VERDICTS))
+
+
+def _refusal(t, vec):
+    """decompose's refusal of vec: the first internal vertex whose values fail
+    the oracle's vertex test, read from the adjacency."""
+    for v, star in zip(t.internal_vertices, _stars(t)):
+        vals = tuple(vec[k] for k in star)
+        if not _vertex_ok(vals):
+            return (
+                f"weight is not in the semigroup: vertex {v} sees values {vals} "
+                "(odd sum or triangle inequality fails)"
+            )
+    return None
+
+
+def shared_verdict_problems(trees) -> list[str]:
+    """What is wrong with the verdicts of in_semigroup, invariant_dim and
+    decompose on every weight in [0,2]^E of each tree, as text.
+
+    Each weight is built afresh and gets the three calls in one of the six
+    orders, in turn, and every other block of six lives on an equal but
+    distinct copy of the tree.  All three must agree with the oracle of
+    achievable weights, decompose must name the first failing vertex, and
+    the weight built on another tree must be refused by all three.  Runs
+    without assert statements, so that `python -O` checks the same.
+    """
+    bad = []
+    for t in trees:
+        twin = LabeledTree(t.n, t.edges)
+        other = next(u for u in trees_cached(t.n) if u != t)
+        members = achievable_weights(t, 2)
+        for k, vec in enumerate(product(range(3), repeat=len(t.edge_ids))):
+            s = SigmaWeight(twin if k // 6 % 2 else t, vec)
+            got = {name: VERDICTS[name](t, s) for name in CALL_ORDERS[k % 6]}
+            member = vec in members
+            expect = {"in_semigroup": member, "invariant_dim": member, "decompose": member or _refusal(t, vec)}
+            if got != expect:
+                bad.append(f"{t.edges} {vec} {CALL_ORDERS[k % 6]}: {got} != {expect}")
+            foreign = SigmaWeight(other, vec)
+            for f in (in_semigroup, invariant_dim, decompose):
+                try:
+                    f(t, foreign)
+                    bad.append(f"{t.edges} {vec}: {f.__name__} took a weight on another tree")
+                except ValueError as exc:
+                    if str(exc) != "weight does not live on this tree":
+                        bad.append(f"{t.edges} {vec}: {f.__name__} refused with {exc}")
+    return bad[:5]
+
+
+def sum_back_refusal():
+    """The error decompose raises when its strands do not sum back to the
+    weight, made to happen by a tree whose leaf paths are all empty."""
+    t = LabeledTree(4, sigma(1).edges)
+    s = omega(t, 1, 3)
+    object.__setattr__(t, "_path", lambda i, j: ())
+    try:
+        decompose(t, s)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_verdict_per_weight_agrees_with_the_oracle():
+    # every tree with 4 or 5 leaves, and one 6-leaf tree of each shape rooted at leaf 1
+    shapes = {t._shape: t for t in reversed(trees_cached(6))}
+    assert len(shapes) == 3
+    assert shared_verdict_problems(trees_cached(4) + trees_cached(5) + tuple(shapes.values())) == []
+
+
+def test_verdicts_and_sum_back_under_optimization():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    code = "import test_semigroup as m, util\nprint(m.shared_verdict_problems(util.trees_cached(4)), m.sum_back_refusal())\n"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout == "[] strand decomposition does not sum back to the weight\n"
+    assert sum_back_refusal() == "strand decomposition does not sum back to the weight"
 
 
 def test_omega_examples():
@@ -336,6 +435,27 @@ def test_sigma_weight_validation_and_json():
             SigmaWeight.from_json_dict(bad)
     assert (s + s).value("e3-4") == 6
     assert s.scaled(3).value("l1") == 6
+    with pytest.raises(ValueError, match=r"^edge l3: weight must be a nonnegative integer, got -1$"):
+        SigmaWeight(t, (2, 0, -1, 0, 0))
+    with pytest.raises(ValueError, match=r"^edge l2: weight must be a nonnegative integer, got 2\.0$"):
+        SigmaWeight(t, (2, 2.0, -1, 0, 0))
+
+    class Count(int):
+        pass
+
+    assert SigmaWeight(t, (Count(1), 1, 0, 0, 0)) == omega(t, 1, 2)
+
+
+def test_weight_keeps_its_own_values():
+    t = sigma(1)
+    vec = [1, 1, 0, 0, 0]
+    s = SigmaWeight(t, vec)
+    assert s == omega(t, 1, 2) and hash(s) == hash(omega(t, 1, 2))
+    assert in_semigroup(t, s) and invariant_dim(t, s) == 1
+    vec[0] = 3
+    assert in_semigroup(t, s) and decompose(t, s) == PairMultiset(((1, 2),))
+    vec[0] = -1
+    assert s.values == (1, 1, 0, 0, 0)
 
 
 def _memo_counts(t):

@@ -246,6 +246,18 @@ def test_value_vector_basics():
         vv + other
 
 
+def test_value_vector_keeps_its_own_order_and_values():
+    t = sigma(1)
+    order, values = list(t.edge_ids), [1, 0, 1, 0, 1]
+    vv = ValueVector(t, order, values)
+    same = ValueVector(t, tuple(order), tuple(values))
+    assert vv == same and hash(vv) == hash(same)
+    order.reverse()
+    values[0] = 7
+    assert vv.order == t.edge_ids and vv.values == (1, 0, 1, 0, 1)
+    assert vv.value("l1") == 1 and vv == rank_valuation(t, t.edge_ids, p(1, 3))
+
+
 def test_edge_order_is_checked_once_per_value(monkeypatch):
     check = LabeledTree._order_positions
     calls = []
